@@ -69,6 +69,9 @@ void UdpClient::OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
 
 Result<std::vector<WireSessionResult>> UdpClient::Run() {
   std::vector<std::uint8_t> buf(65536);
+  // Every datagram decodes into this one object, so its payload capacity
+  // carries over and the loop allocates nothing per datagram.
+  WireDatagram d;
   // Tuning out the moment every session completes (!linger_until_end)
   // sounds like an optimization but silently breaks any sent-vs-received
   // datagram accounting: the unread stream tail looks exactly like kernel
@@ -87,14 +90,12 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
                              socket_.Recv(buf.data(), buf.size()));
       if (!n.has_value()) break;
       ++stats_.datagrams;
-      auto decoded = DecodeDatagram(buf.data(), *n);
-      if (!decoded.ok()) {
+      if (!DecodeDatagramInto(buf.data(), *n, &d).ok()) {
         // Not our traffic (or mangled beyond the header): ignore. Payload
         // corruption is NOT caught here — it rides to OfferEx's checksum.
         ++stats_.decode_errors;
         continue;
       }
-      const WireDatagram& d = *decoded;
       if (d.type == DatagramType::kEnd) {
         stats_.end_seen = true;
         break;

@@ -68,8 +68,8 @@ std::vector<std::uint8_t> EncodeControlDatagram(DatagramType type,
   return out;
 }
 
-Result<WireDatagram> DecodeDatagram(const std::uint8_t* data,
-                                    std::size_t size) {
+Status DecodeDatagramInto(const std::uint8_t* data, std::size_t size,
+                          WireDatagram* out) {
   if (size < kWireHeaderBytes) {
     return Status::InvalidArgument("wire: datagram shorter than the header (" +
                                    std::to_string(size) + " bytes)");
@@ -81,22 +81,28 @@ Result<WireDatagram> DecodeDatagram(const std::uint8_t* data,
     return Status::InvalidArgument("wire: unknown datagram type " +
                                    std::to_string(data[4]));
   }
-  WireDatagram d;
-  d.type = static_cast<DatagramType>(data[4]);
-  d.slot = GetU64(data + 8);
-  d.epoch = GetU64(data + 16);
-  if (d.type != DatagramType::kBlock) {
+  out->type = static_cast<DatagramType>(data[4]);
+  out->slot = GetU64(data + 8);
+  out->epoch = GetU64(data + 16);
+  if (out->type != DatagramType::kBlock) {
     if (size != kWireHeaderBytes) {
       return Status::InvalidArgument(
           "wire: control datagram carries a payload");
     }
-    return d;
+    return Status::OK();
   }
   std::array<std::uint8_t, ida::kBlockIdentityBytes> identity;
   std::memcpy(identity.data(), data + 24, identity.size());
-  ida::DeserializeIdentity(identity, &d.block.header);
-  d.block.header.checksum = GetU32(data + 48);
-  d.block.payload.assign(data + kWireHeaderBytes, data + size);
+  ida::DeserializeIdentity(identity, &out->block.header);
+  out->block.header.checksum = GetU32(data + 48);
+  out->block.payload.assign(data + kWireHeaderBytes, data + size);
+  return Status::OK();
+}
+
+Result<WireDatagram> DecodeDatagram(const std::uint8_t* data,
+                                    std::size_t size) {
+  WireDatagram d;
+  BDISK_RETURN_NOT_OK(DecodeDatagramInto(data, size, &d));
   return d;
 }
 

@@ -87,10 +87,19 @@ std::vector<std::uint8_t> EncodeControlDatagram(DatagramType type,
                                                 std::uint64_t slot,
                                                 std::uint64_t epoch);
 
-/// \brief Decodes a received datagram. Fails with InvalidArgument on a bad
-/// magic, unknown type, short header, or a control datagram carrying a
-/// payload. Block payload bytes are copied out verbatim — payload
-/// integrity is the block checksum's job, not the decoder's.
+/// \brief Decodes a received datagram into `*out`, reusing its payload
+/// capacity, so a listener that decodes every datagram into one
+/// WireDatagram allocates nothing per datagram. Fails with InvalidArgument
+/// on a bad magic, unknown type, short header, or a control datagram
+/// carrying a payload; `*out` is then unspecified. A control datagram
+/// leaves `out->block` as it was. Block payload bytes are copied out
+/// verbatim — payload integrity is the block checksum's job, not the
+/// decoder's.
+Status DecodeDatagramInto(const std::uint8_t* data, std::size_t size,
+                          WireDatagram* out);
+
+/// \brief Decodes a received datagram into a fresh WireDatagram (see
+/// DecodeDatagramInto).
 Result<WireDatagram> DecodeDatagram(const std::uint8_t* data,
                                     std::size_t size);
 

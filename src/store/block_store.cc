@@ -217,14 +217,21 @@ IoResult BlockStore::WriteExtent(std::uint64_t first,
 IoResult BlockStore::ReadExtent(std::uint64_t first, std::uint8_t* bytes,
                                 std::uint64_t len) const {
   const std::size_t bs = device_->block_size();
-  std::vector<std::uint8_t> sector(bs);
-  for (std::uint64_t i = 0; i < ExtentBlocks(len, bs); ++i) {
-    const IoResult r = device_->ReadBlock(first + i, sector.data());
+  // Whole sectors land straight in the caller's buffer; only a partial
+  // last sector goes through a bounce buffer, so `bytes` is never written
+  // past `len`.
+  const std::uint64_t whole = len / bs;
+  for (std::uint64_t i = 0; i < whole; ++i) {
+    const IoResult r = device_->ReadBlock(first + i, bytes + i * bs);
     if (!r.ok()) return r;
-    const std::uint64_t off = i * bs;
-    std::memcpy(bytes + off, sector.data(),
-                static_cast<std::size_t>(std::min<std::uint64_t>(bs, len - off)));
   }
+  const std::uint64_t tail = len - whole * bs;
+  if (tail == 0) return IoResult::Ok();
+  std::vector<std::uint8_t> sector(bs);
+  const IoResult r = device_->ReadBlock(first + whole, sector.data());
+  if (!r.ok()) return r;
+  std::memcpy(bytes + whole * bs, sector.data(),
+              static_cast<std::size_t>(tail));
   return IoResult::Ok();
 }
 

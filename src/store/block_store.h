@@ -204,7 +204,8 @@ class BlockStore {
   /// final sector.
   IoResult WriteExtent(std::uint64_t first, const std::uint8_t* bytes,
                        std::uint64_t len);
-  /// Reads `len` bytes from the extent starting at `first`.
+  /// Reads `len` bytes from the extent starting at `first`. On failure
+  /// the contents of `bytes` are unspecified.
   IoResult ReadExtent(std::uint64_t first, std::uint8_t* bytes,
                       std::uint64_t len) const;
 

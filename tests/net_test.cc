@@ -84,6 +84,36 @@ TEST(WireFormatTest, BlockDatagramRoundTripsBytePerfect) {
   EXPECT_EQ(ida::VerifyChecksum(decoded->block), ida::ChecksumState::kValid);
 }
 
+// The listener decodes every datagram into one WireDatagram: a later,
+// smaller block reuses the payload buffer and reads back exactly, and a
+// control datagram in between updates only type, slot and epoch.
+TEST(WireFormatTest, InPlaceDecodeReusesThePayloadBuffer) {
+  const ida::Block big = MakeBlock(4, 2, 96);
+  const ida::Block small = MakeBlock(3, 1, 40);
+  WireDatagram d;
+  const auto first = EncodeBlockDatagram(10, 1, big);
+  ASSERT_TRUE(DecodeDatagramInto(first.data(), first.size(), &d).ok());
+  EXPECT_EQ(d.block, big);
+  const std::uint8_t* storage = d.block.payload.data();
+
+  const auto idle = EncodeControlDatagram(DatagramType::kIdle, 11, 2);
+  ASSERT_TRUE(DecodeDatagramInto(idle.data(), idle.size(), &d).ok());
+  EXPECT_EQ(d.type, DatagramType::kIdle);
+  EXPECT_EQ(d.slot, 11u);
+  EXPECT_EQ(d.epoch, 2u);
+
+  const auto second = EncodeBlockDatagram(12, 3, small);
+  ASSERT_TRUE(DecodeDatagramInto(second.data(), second.size(), &d).ok());
+  EXPECT_EQ(d.type, DatagramType::kBlock);
+  EXPECT_EQ(d.slot, 12u);
+  EXPECT_EQ(d.epoch, 3u);
+  EXPECT_EQ(d.block, small);
+  EXPECT_EQ(d.block.payload.data(), storage);
+  EXPECT_EQ(ida::VerifyChecksum(d.block), ida::ChecksumState::kValid);
+
+  EXPECT_FALSE(DecodeDatagramInto(second.data(), 10, &d).ok());
+}
+
 TEST(WireFormatTest, ControlDatagramsAreHeaderOnly) {
   const auto idle = EncodeControlDatagram(DatagramType::kIdle, 9, 1);
   EXPECT_EQ(idle.size(), kWireHeaderBytes);

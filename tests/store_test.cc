@@ -391,6 +391,75 @@ TEST(BlockStoreTest, StageCommitReopenReadRoundTrip) {
   }
 }
 
+// Reads land whole sectors straight in the block and bounce only a partial
+// last sector: payloads shorter than a sector, an exact multiple of it, and
+// with a partial tail all read back bit for bit.
+TEST(BlockStoreTest, ReadCodedBlockIsByteExactAtEverySectorAlignment) {
+  auto store = BlockStore::Format(MakeMem());
+  ASSERT_TRUE(store.ok()) << store.status();
+  const std::vector<std::size_t> sizes = {1,   kBlockSize - 1, kBlockSize,
+                                          kBlockSize + 1, 3 * kBlockSize,
+                                          3 * kBlockSize + 17};
+  for (std::size_t f = 0; f < sizes.size(); ++f) {
+    ASSERT_TRUE((*store)
+                    ->StageFile(MakeBlocks(static_cast<ida::FileId>(f), 1, 2,
+                                           3, sizes[f]))
+                    .ok());
+  }
+  ASSERT_TRUE((*store)->Commit().ok());
+  for (std::size_t f = 0; f < sizes.size(); ++f) {
+    const auto id = static_cast<ida::FileId>(f);
+    const auto expected = MakeBlocks(id, 1, 2, 3, sizes[f]);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      const auto block = (*store)->ReadCodedBlock(id, 1, i);
+      ASSERT_TRUE(block.ok()) << block.status();
+      EXPECT_EQ(*block, expected[i]) << "payload " << sizes[f] << " block "
+                                     << i;
+    }
+  }
+}
+
+// A read fault on either sector of a two-sector extent (one whole sector,
+// one partial last sector) surfaces as the typed errno error — never as a
+// block with wrong bytes.
+TEST(BlockStoreTest, ReadFaultOnAnyExtentSectorIsTypedError) {
+  auto mem = MakeMem();
+  auto buffer = mem->buffer();
+  {
+    auto store = BlockStore::Format(std::move(mem));
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE((*store)->StageFile(MakeBlocks(5, 1, 2, 3, 100)).ok());
+    ASSERT_TRUE((*store)->Commit().ok());
+  }
+  // Opening reads a fixed number of sectors; ReadCodedBlock's reads follow.
+  std::uint64_t open_reads = 0;
+  {
+    auto dev = std::make_unique<FaultingBlockDevice>(
+        MemBlockDevice::Attach(buffer, kBlockSize), DeviceFaultConfig{});
+    const FaultingBlockDevice* probe = dev.get();
+    auto store = BlockStore::Open(std::move(dev));
+    ASSERT_TRUE(store.ok()) << store.status();
+    open_reads = probe->reads_attempted();
+    ASSERT_TRUE((*store)->ReadCodedBlock(5, 1, 0).ok());
+    ASSERT_EQ(probe->reads_attempted(), open_reads + 2);
+  }
+  for (std::uint64_t sector = 0; sector < 2; ++sector) {
+    DeviceFaultConfig config;
+    config.errnos.push_back(
+        ErrnoFault{IoOp::kRead, open_reads + sector, 1, EIO});
+    auto store = BlockStore::Open(std::make_unique<FaultingBlockDevice>(
+        MemBlockDevice::Attach(buffer, kBlockSize), config));
+    ASSERT_TRUE(store.ok()) << store.status();
+    const auto block = (*store)->ReadCodedBlock(5, 1, 0);
+    ASSERT_FALSE(block.ok()) << "sector " << sector;
+    EXPECT_TRUE(block.status().IsIoError()) << block.status();
+    // The fault was transient: the next read serves the right bytes.
+    const auto retry = (*store)->ReadCodedBlock(5, 1, 0);
+    ASSERT_TRUE(retry.ok()) << retry.status();
+    EXPECT_EQ(*retry, MakeBlocks(5, 1, 2, 3, 100)[0]);
+  }
+}
+
 TEST(BlockStoreTest, StageFileValidatesIdentityAndStamps) {
   auto store = BlockStore::Format(MakeMem());
   ASSERT_TRUE(store.ok()) << store.status();
