@@ -19,6 +19,7 @@
 
 #include "adaptive/adaptive_loop.h"
 #include "bench_util.h"
+#include "faults/channel_model.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
 
   auto result = RunAdaptiveExperiment(Population(files), workload,
                                       interval_slots, {},
-                                      /*loss_probability=*/0.02,
-                                      /*fault_seed=*/1337, pool.get());
+                                      faults::BernoulliChannel(0.02, 1337),
+                                      pool.get());
   if (!result.ok()) {
     std::fprintf(stderr, "experiment failed: %s\n",
                  result.status().ToString().c_str());

@@ -9,6 +9,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
+#include "faults/channel_model.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -38,8 +39,9 @@ struct Row {
 
 bdisk::runtime::ThreadPool* g_pool = nullptr;
 
-Row Run(const BroadcastProgram& p, FaultModel* faults, ClientModel model) {
-  Simulator sim(p, faults, 200000);
+Row Run(const BroadcastProgram& p, const faults::ChannelModel& channel,
+        ClientModel model) {
+  Simulator sim(p, channel, 200000);
   WorkloadConfig config;
   config.requests_per_file = 2000;
   config.model = model;
@@ -77,10 +79,9 @@ int main(int argc, char** argv) {
   bool ok = true;
   Row last_aida;
   for (double p_loss : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
-    BernoulliFaultModel f1(p_loss, 4242);
-    const Row a = Run(ida, &f1, ClientModel::kIda);
-    BernoulliFaultModel f2(p_loss, 4242);
-    const Row b = Run(flat, &f2, ClientModel::kFlat);
+    const faults::BernoulliChannel channel(p_loss, 4242);
+    const Row a = Run(ida, channel, ClientModel::kIda);
+    const Row b = Run(flat, channel, ClientModel::kFlat);
     std::printf("%-8.2f %8.1f / %6.0f / %-7.4f %8.1f / %6.0f / %-7.4f\n",
                 p_loss, a.mean_latency, a.max_latency, a.miss_rate,
                 b.mean_latency, b.max_latency, b.miss_rate);
@@ -101,15 +102,14 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-28s %-28s\n", "p_loss", "AIDA mean/max/miss",
               "flat mean/max/miss");
   for (double p_loss : {0.01, 0.05, 0.1, 0.2}) {
-    GilbertElliottFaultModel::Params params;
+    faults::GilbertElliottChannel::Params params;
     params.p_bad_to_good = 0.2;  // Mean burst length 5.
     // Choose p_good_to_bad for the target stationary rate:
     // rate = gb / (gb + bg) => gb = rate * bg / (1 - rate).
     params.p_good_to_bad = p_loss * params.p_bad_to_good / (1.0 - p_loss);
-    GilbertElliottFaultModel f1(params, 4242);
-    const Row a = Run(ida, &f1, ClientModel::kIda);
-    GilbertElliottFaultModel f2(params, 4242);
-    const Row b = Run(flat, &f2, ClientModel::kFlat);
+    const faults::GilbertElliottChannel channel(params, 4242);
+    const Row a = Run(ida, channel, ClientModel::kIda);
+    const Row b = Run(flat, channel, ClientModel::kFlat);
     std::printf("%-8.2f %8.1f / %6.0f / %-7.4f %8.1f / %6.0f / %-7.4f\n",
                 p_loss, a.mean_latency, a.max_latency, a.miss_rate,
                 b.mean_latency, b.max_latency, b.miss_rate);

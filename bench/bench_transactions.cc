@@ -14,6 +14,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
+#include "faults/channel_model.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -40,8 +41,7 @@ BroadcastProgram Build(bool ida) {
 double MissRate(const BroadcastProgram& p, ClientModel model,
                 std::size_t txn_size, double loss_rate,
                 std::uint64_t deadline, bdisk::runtime::ThreadPool* pool) {
-  BernoulliFaultModel faults(loss_rate, 777);
-  Simulator sim(p, &faults, 200000);
+  Simulator sim(p, faults::BernoulliChannel(loss_rate, 777), 200000);
   TransactionWorkloadConfig config;
   config.transactions = 3000;
   config.files_per_transaction = txn_size;

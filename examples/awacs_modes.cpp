@@ -15,9 +15,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bdisk/delay_analysis.h"
 #include "bdisk/flat_builder.h"
+#include "common/random.h"
+#include "faults/channel_model.h"
 #include "ida/aida.h"
 #include "sim/client.h"
 #include "sim/server.h"
@@ -89,17 +92,13 @@ int main() {
     auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
     if (!server.ok()) return 1;
 
-    std::unordered_set<std::uint64_t> dead;
-    std::uint32_t injected = 0;
-    for (std::uint64_t t = 0; injected < 3; ++t) {
+    std::vector<std::uint64_t> dead;
+    for (std::uint64_t t = 0; dead.size() < 3; ++t) {
       const auto tx = program.TransmissionAt(t);
-      if (tx.has_value() && tx->file == 0) {
-        dead.insert(t);
-        ++injected;
-      }
+      if (tx.has_value() && tx->file == 0) dead.push_back(t);
     }
-    sim::SlotSetFaultModel faults(std::move(dead));
-    auto session = sim::RunRetrievalSession(*server, &faults, 0, 0,
+    const auto channel = faults::LostSlots(dead);
+    auto session = sim::RunRetrievalSession(*server, *channel, 0, 0,
                                             20 * program.DataCycleLength());
     if (!session.ok()) return 1;
     std::printf("  aircraft retrieval with 3 lost blocks: %s in %llu slots "

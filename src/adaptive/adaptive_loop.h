@@ -40,7 +40,6 @@
 #include "faults/channel_model.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "sim/fault_model.h"
 #include "sim/metrics.h"
 #include "sim/simulation.h"
 
@@ -148,11 +147,10 @@ struct AdaptiveExperimentResult {
 
 /// \brief Runs the full experiment: walks the controller over
 /// `interval_slots`-sized windows of the trace, then replays the identical
-/// trace against both timelines over a fault realization drawn from
-/// `loss_probability` / `fault_seed` — or, when `channel` is non-null,
-/// over that channel model's counter-based trace (faults/channel_model.h),
-/// so the adaptive replay composes with the full fault-injection taxonomy
-/// (bursty loss, corruption, outages).
+/// trace against both timelines over `channel`'s counter-based fault trace
+/// (faults/channel_model.h), so the adaptive replay composes with the full
+/// fault-injection taxonomy (bursty loss, corruption, outages) and both
+/// replays see the identical realization.
 ///
 /// `initial` (when non-null) is both the static baseline and the
 /// controller's starting program — e.g. the planner's pinwheel program for
@@ -175,10 +173,9 @@ struct AdaptiveExperimentResult {
 Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     const std::vector<broadcast::FlatFileSpec>& files,
     const DriftingZipfWorkload& workload, std::uint64_t interval_slots,
-    const AdaptiveLoopOptions& options, double loss_probability,
-    std::uint64_t fault_seed, runtime::ThreadPool* pool = nullptr,
+    const AdaptiveLoopOptions& options, const faults::ChannelModel& channel,
+    runtime::ThreadPool* pool = nullptr,
     const broadcast::BroadcastProgram* initial = nullptr,
-    const faults::ChannelModel* channel = nullptr,
     std::uint64_t snapshot_interval_slots = 0,
     const obs::TraceOptions* trace_options = nullptr,
     const std::function<Status(const obs::Timeline& timeline, bool adaptive)>&

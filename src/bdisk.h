@@ -58,7 +58,6 @@
 #include "sim/cache.h"        // IWYU pragma: export
 #include "sim/client.h"       // IWYU pragma: export
 #include "sim/epoch.h"        // IWYU pragma: export
-#include "sim/fault_model.h"  // IWYU pragma: export
 #include "sim/metrics.h"      // IWYU pragma: export
 #include "sim/server.h"       // IWYU pragma: export
 #include "sim/simulation.h"   // IWYU pragma: export

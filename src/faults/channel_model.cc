@@ -210,4 +210,15 @@ std::string ComposedChannel::Describe() const {
   return out;
 }
 
+std::unique_ptr<ChannelModel> LostSlots(
+    const std::vector<std::uint64_t>& slots) {
+  if (slots.empty()) return std::make_unique<LosslessChannel>();
+  std::vector<std::unique_ptr<ChannelModel>> windows;
+  windows.reserve(slots.size());
+  for (std::uint64_t slot : slots) {
+    windows.push_back(std::make_unique<OutageChannel>(0, slot, 1));
+  }
+  return std::make_unique<ComposedChannel>(std::move(windows));
+}
+
 }  // namespace bdisk::faults

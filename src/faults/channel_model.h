@@ -199,6 +199,14 @@ class ComposedChannel final : public ChannelModel {
   std::vector<std::unique_ptr<ChannelModel>> parts_;
 };
 
+/// \brief Deterministic fault injection: exactly the listed slots are lost,
+/// every other slot is delivered. Built from one-slot OutageChannel windows
+/// (a ComposedChannel, or LosslessChannel for an empty list), so its
+/// Describe() re-parses through ParseChannelSpec to the same trace.
+/// FaultAt costs O(slots.size()), so keep the list short.
+std::unique_ptr<ChannelModel> LostSlots(
+    const std::vector<std::uint64_t>& slots);
+
 }  // namespace bdisk::faults
 
 #endif  // BDISK_FAULTS_CHANNEL_MODEL_H_

@@ -17,7 +17,6 @@
 #include "faults/channel_model.h"
 #include "ida/block.h"
 #include "ida/dispersal.h"
-#include "sim/fault_model.h"
 #include "sim/server.h"
 
 namespace bdisk::sim {
@@ -155,21 +154,13 @@ struct SessionResult {
 };
 
 /// \brief Runs a full retrieval session: from `start_slot`, listen to
-/// `server` through `faults` (replayed from slot 0 so realizations match
-/// the index-level simulator) until the file is reconstructable or
-/// `horizon` is reached, then reconstruct.
-Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
-                                          FaultModel* faults,
-                                          broadcast::FileIndex file,
-                                          std::uint64_t start_slot,
-                                          std::uint64_t horizon);
-
-/// \brief Channel-model variant: listens through `channel`'s deterministic
-/// fault trace. Lost slots never reach the client; corrupted slots deliver
-/// a damaged copy of the block, which the client must detect (the server
-/// stamps checksums, and the session requires them) and discard. Because
-/// the trace is random-access, no replay from slot 0 is needed — the
-/// realization is identical no matter where (or on how many threads)
+/// `server` through `channel`'s deterministic fault trace until the file is
+/// reconstructable or `horizon` is reached, then reconstruct. Lost slots
+/// never reach the client; corrupted slots deliver a damaged copy of the
+/// block, which the client must detect (the server stamps checksums, and
+/// the session requires them) and discard. The trace is random-access, so
+/// listening starts at `start_slot` directly, and the realization is the
+/// index-level simulator's no matter where (or on how many threads)
 /// sessions start.
 Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
                                           const faults::ChannelModel& channel,

@@ -16,20 +16,6 @@ namespace bdisk::sim {
 
 namespace {
 
-// Materializes a legacy sequential fault model as a fault-effect trace
-// (Corrupts == the paper's "block unreadable", i.e. an erasure).
-std::vector<faults::FaultType> RealizeLegacy(FaultModel* faults,
-                                             std::uint64_t horizon) {
-  BDISK_CHECK(faults != nullptr);
-  faults->Reset();
-  std::vector<faults::FaultType> trace(horizon);
-  for (std::uint64_t t = 0; t < horizon; ++t) {
-    trace[t] = faults->Corrupts(t) ? faults::FaultType::kLost
-                                   : faults::FaultType::kNone;
-  }
-  return trace;
-}
-
 std::vector<faults::FaultType> RealizeChannel(
     const faults::ChannelModel& channel, std::uint64_t horizon) {
   std::vector<faults::FaultType> trace(horizon);
@@ -38,14 +24,6 @@ std::vector<faults::FaultType> RealizeChannel(
 }
 
 }  // namespace
-
-Simulator::Simulator(const broadcast::BroadcastProgram& program,
-                     FaultModel* faults, std::uint64_t horizon)
-    : program_(&program), faults_(RealizeLegacy(faults, horizon)) {}
-
-Simulator::Simulator(const EpochSchedule& schedule, FaultModel* faults,
-                     std::uint64_t horizon)
-    : schedule_(&schedule), faults_(RealizeLegacy(faults, horizon)) {}
 
 Simulator::Simulator(const broadcast::BroadcastProgram& program,
                      const faults::ChannelModel& channel,

@@ -5,9 +5,9 @@
 /// The simulator works at the block-index level (which transmissions a
 /// client hears and which dispersed block each carries); the byte-level
 /// data plane with real IDA arithmetic lives in server.h / client.h and is
-/// exercised by the integration tests. Channel realizations are
-/// deterministic given the fault model's seed, so experiments are exactly
-/// reproducible.
+/// exercised by the integration tests. The channel is a faults::ChannelModel,
+/// whose fault trace is a pure function of its seed and the slot, so
+/// experiments are exactly reproducible.
 
 #ifndef BDISK_SIM_SIMULATION_H_
 #define BDISK_SIM_SIMULATION_H_
@@ -19,11 +19,9 @@
 
 #include "bdisk/delay_analysis.h"
 #include "bdisk/program.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "faults/channel_model.h"
 #include "sim/epoch.h"
-#include "sim/fault_model.h"
 #include "sim/metrics.h"
 
 namespace bdisk::obs {
@@ -134,27 +132,20 @@ std::optional<std::uint64_t> LosslessCompletionWalk(
 /// \brief Block-index-level broadcast-disk simulator.
 class Simulator {
  public:
-  /// \param program   the broadcast program to execute (borrowed).
-  /// \param faults    channel fault model (borrowed; Reset() + replayed).
-  /// \param horizon   number of slots of channel realization to simulate.
-  Simulator(const broadcast::BroadcastProgram& program, FaultModel* faults,
-            std::uint64_t horizon);
+  /// Executes `program` (borrowed) over `channel`'s fault trace on
+  /// [0, horizon). The trace is realized once, at construction, so it is
+  /// reproducible from the channel's seed alone and identical at any shard
+  /// or thread count; `channel` need not outlive the simulator. At the
+  /// block-index level a corrupted transmission behaves like a loss (the
+  /// byte-level client detects it by checksum and discards it) but is
+  /// additionally counted in RetrievalOutcome::corrupt_detected.
+  Simulator(const broadcast::BroadcastProgram& program,
+            const faults::ChannelModel& channel, std::uint64_t horizon);
 
   /// Epoch-aware variant: executes `schedule` (borrowed), whose program may
   /// hot-swap at period boundaries. Retrievals transparently span swaps —
   /// the epoch geometry contract (sim/epoch.h) guarantees blocks collected
   /// under different epochs remain mutually reconstructing.
-  Simulator(const EpochSchedule& schedule, FaultModel* faults,
-            std::uint64_t horizon);
-
-  /// Channel-model variants: the fault realization is the model's
-  /// counter-based trace over [0, horizon), so it is reproducible from the
-  /// channel's seed alone and identical at any shard or thread count. At
-  /// the block-index level a corrupted transmission behaves like a loss
-  /// (the byte-level client detects it by checksum and discards it) but is
-  /// additionally counted in RetrievalOutcome::corrupt_detected.
-  Simulator(const broadcast::BroadcastProgram& program,
-            const faults::ChannelModel& channel, std::uint64_t horizon);
   Simulator(const EpochSchedule& schedule,
             const faults::ChannelModel& channel, std::uint64_t horizon);
 

@@ -94,25 +94,24 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::TransmissionAt(
 }
 
 Result<VersionedSessionResult> RunVersionedRetrieval(
-    const VersionedBroadcastServer& server, FaultModel* faults,
+    const VersionedBroadcastServer& server,
+    const faults::ChannelModel& channel,
     broadcast::FileIndex file, std::uint64_t start, std::uint64_t horizon) {
   if (file >= server.program().file_count()) {
     return Status::InvalidArgument("RunVersionedRetrieval: unknown file");
   }
   const broadcast::ProgramFile& pf = server.program().files()[file];
-  faults->Reset();
 
   VersionedSessionResult result;
   std::uint64_t current_version = 0;
   std::vector<ida::Block> collected;
   std::vector<bool> have(pf.n, false);
 
-  for (std::uint64_t t = 0; t < horizon; ++t) {
-    const bool lost = faults->Corrupts(t);
-    if (t < start) continue;  // Channel state still advances.
+  for (std::uint64_t t = start; t < horizon; ++t) {
+    if (channel.FaultAt(t) != faults::FaultType::kNone) continue;
     BDISK_ASSIGN_OR_RETURN(std::optional<ida::Block> block,
                            server.TransmissionAt(t));
-    if (!block.has_value() || lost) continue;
+    if (!block.has_value()) continue;
     if (block->header.file_id != file) continue;
 
     if (collected.empty() || block->header.version > current_version) {

@@ -27,8 +27,8 @@
 
 #include "bdisk/program.h"
 #include "common/status.h"
+#include "faults/channel_model.h"
 #include "ida/dispersal.h"
-#include "sim/fault_model.h"
 #include "store/block_store.h"
 
 namespace bdisk::sim {
@@ -108,9 +108,11 @@ struct VersionedSessionResult {
 
 /// \brief Runs a version-aware retrieval: collect blocks of the newest
 /// version seen, discarding stale partials; reconstruct at m distinct
-/// blocks of one version.
+/// blocks of one version. Listens from `start` through `channel`'s fault
+/// trace; a slot with any fault (lost or corrupted) delivers nothing.
 Result<VersionedSessionResult> RunVersionedRetrieval(
-    const VersionedBroadcastServer& server, FaultModel* faults,
+    const VersionedBroadcastServer& server,
+    const faults::ChannelModel& channel,
     broadcast::FileIndex file, std::uint64_t start, std::uint64_t horizon);
 
 }  // namespace bdisk::sim

@@ -1,12 +1,14 @@
 // Tests for the fault-injection channel models (src/faults/): the
 // determinism contract (pure, random-access, shard-invariant traces), the
-// statistical properties of each model, corruption application, and the
-// channel-spec parser.
+// statistical properties of each model, corruption application, the
+// LostSlots factory, and the channel-spec parser.
 
 #include "faults/channel_model.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "faults/channel_spec.h"
@@ -45,11 +47,13 @@ TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
   const GilbertElliottChannel gilbert(params, 5);
   const CorruptionChannel corrupt(0.15, 5);
   const OutageChannel outage(64, 10, 7);
+  const auto lost = LostSlots({777, 3, 256, 5, 1499});
   for (const ChannelModel* model :
        {static_cast<const ChannelModel*>(&bern),
         static_cast<const ChannelModel*>(&gilbert),
         static_cast<const ChannelModel*>(&corrupt),
-        static_cast<const ChannelModel*>(&outage)}) {
+        static_cast<const ChannelModel*>(&outage),
+        static_cast<const ChannelModel*>(lost.get())}) {
     constexpr std::uint64_t kHorizon = 1500;
     const std::vector<FaultType> fill = Realize(*model, kHorizon);
     // Per-slot random access, probed out of order.
@@ -71,20 +75,34 @@ TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
 }
 
 TEST(ChannelModelTest, LosslessNeverFaults) {
-  const LosslessChannel channel;
-  for (std::uint64_t t = 0; t < 1000; ++t) {
-    EXPECT_EQ(channel.FaultAt(t), FaultType::kNone);
+  // An empty LostSlots set is the lossless channel itself.
+  const LosslessChannel lossless;
+  const auto no_slots = LostSlots({});
+  EXPECT_EQ(no_slots->Describe(), lossless.Describe());
+  for (const ChannelModel* channel :
+       {static_cast<const ChannelModel*>(&lossless),
+        static_cast<const ChannelModel*>(no_slots.get())}) {
+    for (std::uint64_t t = 0; t < 1000; ++t) {
+      EXPECT_EQ(channel->FaultAt(t), FaultType::kNone);
+    }
+    const std::vector<FaultType> fill = Realize(*channel, 1000);
+    EXPECT_EQ(std::count(fill.begin(), fill.end(), FaultType::kNone), 1000);
   }
 }
 
 TEST(BernoulliChannelTest, RateApproximatesP) {
-  const BernoulliChannel channel(0.2, 7);
-  int losses = 0;
-  const int trials = 100000;
-  for (int t = 0; t < trials; ++t) {
-    if (channel.FaultAt(t) == FaultType::kLost) ++losses;
+  // p = 0 never loses and p = 1 always loses, exactly.
+  for (double p : {0.0, 0.2, 1.0}) {
+    const BernoulliChannel channel(p, 7);
+    int losses = 0;
+    const int trials = 100000;
+    for (int t = 0; t < trials; ++t) {
+      if (channel.FaultAt(t) == FaultType::kLost) ++losses;
+    }
+    EXPECT_NEAR(static_cast<double>(losses) / trials, p,
+                p == 0.0 || p == 1.0 ? 0.0 : 0.01)
+        << "p " << p;
   }
-  EXPECT_NEAR(static_cast<double>(losses) / trials, 0.2, 0.01);
 }
 
 TEST(BernoulliChannelTest, DistinctSeedsDecorrelate) {
@@ -104,6 +122,9 @@ TEST(GilbertElliottChannelTest, EmpiricalRateMatchesStationary) {
   params.p_good_to_bad = 0.05;
   params.p_bad_to_good = 0.45;
   const GilbertElliottChannel channel(params, 17);
+  // Closed form: pi_bad = 0.05 / (0.05 + 0.45) = 0.1, and with the default
+  // loss_good = 0, loss_bad = 1 the loss rate is pi_bad.
+  EXPECT_NEAR(channel.StationaryLossRate(), 0.1, 1e-12);
   const std::uint64_t trials = 200000;
   const std::vector<FaultType> trace = Realize(channel, trials);
   std::uint64_t losses = 0;
@@ -159,6 +180,13 @@ TEST(OutageChannelTest, OneShotWindow) {
   EXPECT_EQ(channel.FaultAt(149), FaultType::kLost);
   EXPECT_EQ(channel.FaultAt(150), FaultType::kNone);
   EXPECT_EQ(channel.FaultAt(100000), FaultType::kNone);
+  // LostSlots is a set of one-slot windows: exactly the listed slots.
+  const auto lost = LostSlots({8, 3, 5});
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    const bool listed = t == 3 || t == 5 || t == 8;
+    EXPECT_EQ(lost->FaultAt(t), listed ? FaultType::kLost : FaultType::kNone)
+        << t;
+  }
 }
 
 TEST(CorruptionChannelTest, CorruptionIsDetectedByChecksum) {
@@ -224,6 +252,7 @@ TEST(ComposedChannelTest, EqualSeedsAcrossFamiliesStayIndependent) {
 }
 
 TEST(ChannelSpecTest, ParsesEveryModelAndRoundTrips) {
+  std::vector<std::unique_ptr<ChannelModel>> models;
   for (const char* spec :
        {"lossless", "bernoulli:p=0.1,seed=42",
         // Non-round probability: Describe() must round-trip the exact
@@ -234,12 +263,17 @@ TEST(ChannelSpecTest, ParsesEveryModelAndRoundTrips) {
         "bernoulli:p=0.1,seed=42+corrupt:p=0.05,seed=3"}) {
     auto parsed = ParseChannelSpec(spec);
     ASSERT_TRUE(parsed.ok()) << spec << ": " << parsed.status();
+    models.push_back(std::move(*parsed));
+  }
+  models.push_back(LostSlots({}));
+  models.push_back(LostSlots({300, 3, 5}));
+  for (const auto& model : models) {
     // Describe() re-parses to an equivalent model (same trace).
-    auto reparsed = ParseChannelSpec((*parsed)->Describe());
-    ASSERT_TRUE(reparsed.ok()) << (*parsed)->Describe();
+    auto reparsed = ParseChannelSpec(model->Describe());
+    ASSERT_TRUE(reparsed.ok()) << model->Describe();
     for (std::uint64_t t = 0; t < 512; ++t) {
-      ASSERT_EQ((*parsed)->FaultAt(t), (*reparsed)->FaultAt(t))
-          << spec << " slot " << t;
+      ASSERT_EQ(model->FaultAt(t), (*reparsed)->FaultAt(t))
+          << model->Describe() << " slot " << t;
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "sim/client.h"
 #include "sim/server.h"
 
@@ -66,9 +67,9 @@ TEST(DataPlaneTest, EndToEndNoFaults) {
   auto server = BroadcastServer::Create(p, contents, kBlockSize);
   ASSERT_TRUE(server.ok());
 
-  NoFaultModel faults;
+  const faults::LosslessChannel channel;
   for (broadcast::FileIndex f = 0; f < 2; ++f) {
-    auto session = RunRetrievalSession(*server, &faults, f, 0, 1000);
+    auto session = RunRetrievalSession(*server, channel, f, 0, 1000);
     ASSERT_TRUE(session.ok()) << session.status();
     ASSERT_TRUE(session->completed);
     EXPECT_EQ(session->data, contents[f]);
@@ -83,11 +84,11 @@ TEST(DataPlaneTest, EndToEndWithBurstLoss) {
   auto server = BroadcastServer::Create(p, contents, kBlockSize);
   ASSERT_TRUE(server.ok());
 
-  GilbertElliottFaultModel::Params params;
+  faults::GilbertElliottChannel::Params params;
   params.p_good_to_bad = 0.05;
   params.p_bad_to_good = 0.3;
-  GilbertElliottFaultModel faults(params, 99);
-  auto session = RunRetrievalSession(*server, &faults, 0, 0, 100000);
+  const faults::GilbertElliottChannel channel(params, 99);
+  auto session = RunRetrievalSession(*server, channel, 0, 0, 100000);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->data, contents[0]);
@@ -104,10 +105,10 @@ TEST(DataPlaneTest, LosingFirstPeriodStillReconstructsViaRotation) {
   ASSERT_TRUE(server.ok());
 
   // Corrupt all of A's first-period transmissions.
-  std::unordered_set<std::uint64_t> dead;
-  for (std::uint64_t slot : p.OccurrencesOf(0)) dead.insert(slot);
-  SlotSetFaultModel faults(std::move(dead));
-  auto session = RunRetrievalSession(*server, &faults, 0, 0, 1000);
+  std::vector<std::uint64_t> dead;
+  for (std::uint64_t slot : p.OccurrencesOf(0)) dead.push_back(slot);
+  const auto channel = faults::LostSlots(dead);
+  auto session = RunRetrievalSession(*server, *channel, 0, 0, 1000);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->data, contents[0]);

@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
 #include <vector>
 
 #include "bdisk/delay_analysis.h"
 #include "bdisk/flat_builder.h"
+#include "faults/channel_model.h"
 #include "sim/simulation.h"
 
 namespace bdisk::broadcast {
@@ -46,10 +46,10 @@ std::uint64_t BruteForceWorstCompletion(const BroadcastProgram& program,
   for (std::size_t i = 0; i < errors; ++i) idx[i] = i;
   bool done = errors > n_slots;
   while (!done) {
-    std::unordered_set<std::uint64_t> dead;
-    for (std::size_t i = 0; i < errors; ++i) dead.insert(slots[idx[i]]);
-    sim::SlotSetFaultModel faults(std::move(dead));
-    sim::Simulator simulator(program, &faults, sim_horizon + 1);
+    std::vector<std::uint64_t> dead;
+    for (std::size_t i = 0; i < errors; ++i) dead.push_back(slots[idx[i]]);
+    const auto channel = faults::LostSlots(dead);
+    sim::Simulator simulator(program, *channel, sim_horizon + 1);
     sim::ClientRequest req;
     req.file = file;
     req.start_slot = start;

@@ -8,6 +8,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "sim/client.h"
 #include "sim/server.h"
 #include "sim/simulation.h"
@@ -101,10 +102,9 @@ TEST(EpochScheduleTest, TransmissionsSwitchAtTheBoundary) {
 TEST(EpochSimulatorTest, SingleEpochMatchesPlainSimulator) {
   const BroadcastProgram a = ProgramA();
   const EpochSchedule schedule = EpochSchedule::Single(a);
-  BernoulliFaultModel faults1(0.1, 77);
-  BernoulliFaultModel faults2(0.1, 77);
-  Simulator plain(a, &faults1, 20000);
-  Simulator epoch(schedule, &faults2, 20000);
+  const faults::BernoulliChannel channel(0.1, 77);
+  Simulator plain(a, channel, 20000);
+  Simulator epoch(schedule, channel, 20000);
 
   WorkloadConfig config;
   config.requests_per_file = 300;
@@ -124,8 +124,7 @@ TEST(EpochSimulatorTest, SingleEpochMatchesPlainSimulator) {
 
 TEST(EpochSimulatorTest, RunRequestsMatchesRetrieve) {
   const BroadcastProgram a = ProgramA();
-  BernoulliFaultModel faults(0.05, 3);
-  Simulator sim(a, &faults, 5000);
+  Simulator sim(a, faults::BernoulliChannel(0.05, 3), 5000);
   std::vector<ClientRequest> requests;
   for (std::uint64_t k = 0; k < 50; ++k) {
     ClientRequest req;
@@ -157,8 +156,7 @@ TEST(EpochSimulatorTest, RunRequestsMatchesRetrieve) {
 
 TEST(EpochSimulatorTest, RunRequestsRejectsBadRequests) {
   const BroadcastProgram a = ProgramA();
-  NoFaultModel faults;
-  Simulator sim(a, &faults, 1000);
+  Simulator sim(a, faults::LosslessChannel(), 1000);
   ClientRequest bad_file;
   bad_file.file = 99;
   EXPECT_FALSE(sim.RunRequests({bad_file}).ok());
@@ -194,14 +192,14 @@ TEST(HotSwapEquivalenceTest, ReconstructionSpanningSwapIsBitIdentical) {
   ASSERT_TRUE(fresh.ok()) << fresh.status();
 
   const std::uint64_t horizon = swap + 50 * b.DataCycleLength();
+  const faults::LosslessChannel channel;
   for (broadcast::FileIndex f = 0; f < a.file_count(); ++f) {
     // Start inside epoch 0, late enough that completion crosses the swap:
     // file c's m = 4 blocks cannot all be heard in the few pre-swap slots
     // left after `start`, and a and b are checked at every viable start.
     for (std::uint64_t start = 1; start < swap; ++start) {
-      NoFaultModel faults;
       auto spanning =
-          RunRetrievalSession(*swapping, &faults, f, start, horizon);
+          RunRetrievalSession(*swapping, channel, f, start, horizon);
       ASSERT_TRUE(spanning.ok()) << spanning.status();
       ASSERT_TRUE(spanning->completed);
       if (spanning->completion_slot < swap) continue;  // Did not span.
@@ -210,9 +208,8 @@ TEST(HotSwapEquivalenceTest, ReconstructionSpanningSwapIsBitIdentical) {
       EXPECT_EQ(spanning->data, contents[f]) << "file " << f << " start "
                                              << start;
       // ...and to a from-scratch retrieval under the new program alone.
-      NoFaultModel fresh_faults;
-      auto from_scratch = RunRetrievalSession(*fresh, &fresh_faults, f, 0,
-                                              horizon);
+      auto from_scratch =
+          RunRetrievalSession(*fresh, channel, f, 0, horizon);
       ASSERT_TRUE(from_scratch.ok()) << from_scratch.status();
       ASSERT_TRUE(from_scratch->completed);
       EXPECT_EQ(spanning->data, from_scratch->data)
@@ -225,9 +222,8 @@ TEST(HotSwapEquivalenceTest, ReconstructionSpanningSwapIsBitIdentical) {
   for (broadcast::FileIndex f = 0; f < a.file_count(); ++f) {
     bool spanned_both = false;
     for (std::uint64_t start = 1; start < swap && !spanned_both; ++start) {
-      NoFaultModel faults;
       auto session =
-          RunRetrievalSession(*swapping, &faults, f, start, horizon);
+          RunRetrievalSession(*swapping, channel, f, start, horizon);
       ASSERT_TRUE(session.ok());
       spanned_both = session->completed && session->epochs_spanned >= 2;
     }

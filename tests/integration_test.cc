@@ -8,6 +8,7 @@
 #include "bdisk/delay_analysis.h"
 #include "bdisk/pinwheel_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "pinwheel/composite_scheduler.h"
 #include "sim/client.h"
 #include "sim/server.h"
@@ -64,8 +65,8 @@ TEST(IntegrationTest, SimulationNeverExceedsAnalyticWorstCase) {
 
   // Fault-free simulation: every observed latency must be bounded by the
   // analytic zero-fault worst case.
-  sim::NoFaultModel faults;
-  sim::Simulator simulator(p, &faults, 50 * p.DataCycleLength());
+  const faults::LosslessChannel channel;
+  sim::Simulator simulator(p, channel, 50 * p.DataCycleLength());
   sim::WorkloadConfig config;
   config.requests_per_file = 500;
   auto metrics = simulator.RunWorkload(config);
@@ -120,9 +121,9 @@ TEST(IntegrationTest, ByteLevelRoundTripOverPinwheelProgram) {
   ASSERT_TRUE(server.ok()) << server.status();
 
   // Random losses at 10%; every file must still reconstruct, byte-exact.
-  sim::BernoulliFaultModel faults(0.1, 1234);
+  const faults::BernoulliChannel channel(0.1, 1234);
   for (FileIndex f = 0; f < p.file_count(); ++f) {
-    auto session = sim::RunRetrievalSession(*server, &faults, f, 3,
+    auto session = sim::RunRetrievalSession(*server, channel, f, 3,
                                             200 * p.DataCycleLength());
     ASSERT_TRUE(session.ok()) << session.status();
     ASSERT_TRUE(session->completed) << p.files()[f].name;
@@ -151,17 +152,17 @@ TEST(IntegrationTest, AdversarialInjectionWithinAnalyticBound) {
   // Try every start within one data cycle, corrupting the first r
   // transmissions the client hears.
   for (std::uint64_t start = 0; start < p.DataCycleLength(); ++start) {
-    std::unordered_set<std::uint64_t> dead;
+    std::vector<std::uint64_t> dead;
     std::uint32_t injected = 0;
     for (std::uint64_t t = start; injected < faults_to_tolerate; ++t) {
       const auto tx = p.TransmissionAt(t);
       if (tx.has_value() && tx->file == target) {
-        dead.insert(t);
+        dead.push_back(t);
         ++injected;
       }
     }
-    sim::SlotSetFaultModel fault_model(std::move(dead));
-    sim::Simulator simulator(p, &fault_model, 50 * p.DataCycleLength());
+    const auto channel = faults::LostSlots(dead);
+    sim::Simulator simulator(p, *channel, 50 * p.DataCycleLength());
     sim::ClientRequest req;
     req.file = target;
     req.start_slot = start;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bdisk/delay_analysis.h"
+#include "faults/channel_model.h"
 #include "sim/simulation.h"
 
 namespace bdisk::broadcast {
@@ -131,8 +132,8 @@ TEST(MeanLatencyTest, ClosedFormMatchesSimulatorExactly) {
   });
   ASSERT_TRUE(multi.ok()) << multi.status();
   const BroadcastProgram& p = multi->program;
-  sim::NoFaultModel faults;
-  sim::Simulator simulator(p, &faults,
+  const faults::LosslessChannel channel;
+  sim::Simulator simulator(p, channel,
                            p.DataCycleLength() * 20);
   for (FileIndex f = 0; f < p.file_count(); ++f) {
     double total = 0.0;

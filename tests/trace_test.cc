@@ -331,8 +331,8 @@ TEST(TraceTest, AdaptiveExperimentEmitsSwapDecisionSpans) {
   options.sample_every = 64;
   auto result = adaptive::RunAdaptiveExperiment(
       files, workload, /*interval_slots=*/1500, loop,
-      /*loss_probability=*/0.02, /*fault_seed=*/11, nullptr, nullptr,
-      nullptr, /*snapshot_interval_slots=*/0, &options);
+      faults::BernoulliChannel(0.02, 11), nullptr, nullptr,
+      /*snapshot_interval_slots=*/0, &options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_NE(result->adaptive_trace, nullptr);
   ASSERT_NE(result->static_trace, nullptr);

@@ -6,6 +6,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 
 namespace bdisk::sim {
 namespace {
@@ -91,8 +92,8 @@ TEST(MixedVersionTest, ReconstructRejectsMixedSnapshots) {
 
 TEST(VersionedRetrievalTest, StableFileRoundTrips) {
   const auto server = MakeServer(0, 0);
-  NoFaultModel faults;
-  auto session = RunVersionedRetrieval(server, &faults, 0, 0, 1000);
+  const faults::LosslessChannel channel;
+  auto session = RunVersionedRetrieval(server, channel, 0, 0, 1000);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->version, 0u);
@@ -104,9 +105,9 @@ TEST(VersionedRetrievalTest, RetrievesFreshVersionAcrossBoundary) {
   // Update every 7 slots; a client starting just before a boundary must
   // restart and end with a consistent *newer* snapshot, byte-exact.
   const auto server = MakeServer(7, 0);
-  NoFaultModel faults;
+  const faults::LosslessChannel channel;
   for (std::uint64_t start = 0; start < 40; ++start) {
-    auto session = RunVersionedRetrieval(server, &faults, 0, start, 2000);
+    auto session = RunVersionedRetrieval(server, channel, 0, start, 2000);
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(session->completed) << "start " << start;
     EXPECT_EQ(session->data, server.ContentsOf(0, session->version))
@@ -120,9 +121,9 @@ TEST(VersionedRetrievalTest, RetrievesFreshVersionAcrossBoundary) {
 TEST(VersionedRetrievalTest, DataAgeBoundedByIntervalPlusRetrieval) {
   const std::uint64_t interval = 20;
   const auto server = MakeServer(interval, 0);
-  NoFaultModel faults;
+  const faults::LosslessChannel channel;
   for (std::uint64_t start = 0; start < 40; ++start) {
-    auto session = RunVersionedRetrieval(server, &faults, 0, start, 2000);
+    auto session = RunVersionedRetrieval(server, channel, 0, start, 2000);
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(session->completed);
     // Age counts from the snapshot's creation; it can never exceed the
@@ -136,17 +137,27 @@ TEST(VersionedRetrievalTest, TooFastUpdatesStarveRetrieval) {
   // File A needs 3 blocks; its slots come roughly every other slot, so an
   // update interval of 2 can never deliver 3 same-version blocks.
   const auto server = MakeServer(2, 0);
-  NoFaultModel faults;
-  auto session = RunVersionedRetrieval(server, &faults, 0, 0, 5000);
+  const faults::LosslessChannel channel;
+  auto session = RunVersionedRetrieval(server, channel, 0, 0, 5000);
   ASSERT_TRUE(session.ok());
   EXPECT_FALSE(session->completed);
   EXPECT_GT(session->restarts, 100u);  // Perpetual restarting.
 }
 
+TEST(VersionedRetrievalTest, CorruptedSlotsAreNotDelivered) {
+  // A corrupted transmission is as unusable as a lost one: a channel that
+  // corrupts every slot starves the session.
+  const auto server = MakeServer(0, 0);
+  const faults::CorruptionChannel channel(1.0, 5);
+  auto session = RunVersionedRetrieval(server, channel, 0, 0, 1000);
+  ASSERT_TRUE(session.ok());
+  EXPECT_FALSE(session->completed);
+}
+
 TEST(VersionedRetrievalTest, RestartsCountedUnderLoss) {
   const auto server = MakeServer(12, 0);
-  BernoulliFaultModel faults(0.3, 99);
-  auto session = RunVersionedRetrieval(server, &faults, 0, 0, 20000);
+  const faults::BernoulliChannel channel(0.3, 99);
+  auto session = RunVersionedRetrieval(server, channel, 0, 0, 20000);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->data, server.ContentsOf(0, session->version));

@@ -12,6 +12,7 @@
 //                 [--engine slot|event] [--requests N] [--seed S]
 //                 workload.spec
 //   bdisk_planner [...] - < workload.spec
+//   bdisk_planner --help | -h
 //
 // --threads N fans the per-file worst-case delay analysis (the exact
 // adversary computation, the planner's dominant cost on big specs) out
@@ -30,7 +31,8 @@
 // retrieval attempts per file (default 200), --seed the workload seed
 // (default 42); the channel's own seed lives in SPEC, and the whole replay
 // is deterministic. With --adaptive, the same channel also drives the
-// adaptive replay.
+// adaptive replay; without --channel that replay runs over
+// bernoulli:p=0.02,seed=99.
 //
 // --engine selects the simulation core for the channel replay: `slot` (the
 // default) walks every slot; `event` runs the discrete-event engine
@@ -454,10 +456,11 @@ int ReplayAdaptive(const BroadcastProgram& planned) {
   };
   const bdisk::obs::TraceOptions* trace_options =
       g_trace_out != nullptr ? &g_trace_options : nullptr;
+  const bdisk::faults::BernoulliChannel default_channel(0.02, 99);
   auto replay = bdisk::adaptive::RunAdaptiveExperiment(
-      population, workload, interval, {}, /*loss_probability=*/0.02,
-      /*fault_seed=*/99, g_pool, &planned, g_channel, snapshot_interval,
-      trace_options, on_replay);
+      population, workload, interval, {},
+      g_channel != nullptr ? *g_channel : default_channel, g_pool, &planned,
+      snapshot_interval, trace_options, on_replay);
   if (!replay.ok()) {
     std::fprintf(stderr, "adaptive replay failed: %s\n",
                  replay.status().ToString().c_str());
@@ -737,6 +740,19 @@ int Plan(const std::string& text, bool adaptive) {
   return EmitTrace();
 }
 
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--threads N] [--adaptive] [--channel SPEC] "
+               "[--engine slot|event] [--requests N] [--seed S] "
+               "[--metrics-out PATH] [--metrics-interval N] "
+               "[--store PATH] [--store-bytes SIZE] "
+               "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
+               "[--trace-flight K] [--serve HOST:PORT | --listen "
+               "HOST:PORT] [--serve-bandwidth RATE] [--serve-horizon N] "
+               "<spec-file | ->\n",
+               argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -798,17 +814,13 @@ int main(int argc, char** argv) {
       bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-stall");
   const char* trace_flight_token =
       bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-flight");
+  if (argc == 2 && (std::string(argv[1]) == "--help" ||
+                    std::string(argv[1]) == "-h")) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
   if (argc != 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--threads N] [--adaptive] [--channel SPEC] "
-                 "[--engine slot|event] [--requests N] [--seed S] "
-                 "[--metrics-out PATH] [--metrics-interval N] "
-                 "[--store PATH] [--store-bytes SIZE] "
-                 "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
-                 "[--trace-flight K] [--serve HOST:PORT | --listen "
-                 "HOST:PORT] [--serve-bandwidth RATE] [--serve-horizon N] "
-                 "<spec-file | ->\n",
-                 argv[0]);
+    PrintUsage(stderr, argv[0]);
     return 2;
   }
   if (store_bytes_token != nullptr) {

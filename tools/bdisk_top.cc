@@ -12,6 +12,7 @@
 //
 // Usage:
 //   bdisk_top [--follow] [--rows N] stream.jsonl
+//   bdisk_top --help | -h
 //
 // --follow polls the file every 500 ms and redraws in place (ANSI),
 // tailing a run that is still appending; only the bytes appended since
@@ -183,6 +184,10 @@ void Render(const Stream& s, std::size_t max_rows, const char* path) {
   }
 }
 
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out, "usage: %s [--follow] [--rows N] stream.jsonl\n", argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,9 +206,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::uint64_t max_rows = *rows_flag;
+  if (argc == 2 && (std::string(argv[1]) == "--help" ||
+                    std::string(argv[1]) == "-h")) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
   if (argc != 2) {
-    std::fprintf(stderr, "usage: %s [--follow] [--rows N] stream.jsonl\n",
-                 argv[0]);
+    PrintUsage(stderr, argv[0]);
     return 2;
   }
   const char* path = argv[1];

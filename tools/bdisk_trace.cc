@@ -9,6 +9,7 @@
 //   bdisk_trace [--client N] [--file NAME] [--outcome ok|deadline_miss|
 //               undecodable] [--summary] [--top N] [--chrome]
 //               <trace.json | ->
+//   bdisk_trace --help | -h
 //
 // --client / --file / --outcome keep only retrieval spans matching the
 // given request id, file name, or outcome (controller swap-decision spans
@@ -248,6 +249,14 @@ void PrintChrome(const JsonValue& doc, const JsonValue& events,
   std::fwrite(out.data(), 1, out.size(), stdout);
 }
 
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--client N] [--file NAME] [--outcome "
+               "ok|deadline_miss|undecodable] [--summary] [--top N] "
+               "[--chrome] <trace.json | ->\n",
+               argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -262,12 +271,13 @@ int main(int argc, char** argv) {
   filters.file = bdisk::runtime::ConsumeStringFlag(&argc, argv, "file");
   filters.outcome = bdisk::runtime::ConsumeStringFlag(&argc, argv,
                                                       "outcome");
+  if (argc == 2 && (std::string(argv[1]) == "--help" ||
+                    std::string(argv[1]) == "-h")) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
   if (argc != 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--client N] [--file NAME] [--outcome "
-                 "ok|deadline_miss|undecodable] [--summary] [--top N] "
-                 "[--chrome] <trace.json | ->\n",
-                 argv[0]);
+    PrintUsage(stderr, argv[0]);
     return 2;
   }
   if (client_token != nullptr) {
