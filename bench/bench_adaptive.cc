@@ -20,6 +20,7 @@
 #include "adaptive/adaptive_loop.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -42,10 +43,17 @@ std::vector<FlatFileSpec> Population(std::size_t files) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
-  const auto files = static_cast<std::size_t>(
-      benchutil::UintFlag(argc, argv, "files", 12));
-  const double theta = benchutil::DoubleFlag(argc, argv, "theta", 1.1);
+  unsigned threads = 1;
+  std::uint64_t files = 12;
+  double theta = 1.1;
+  runtime::ParseCommandLine(
+      argc, argv,
+      {{"threads", runtime::FlagKind::kThreads, "worker threads (1)",
+        &threads},
+       {"files", runtime::FlagKind::kUint, "files on the broadcast (12)",
+        &files},
+       {"theta", runtime::FlagKind::kDouble, "Zipf skew of the demand (1.1)",
+        &theta}});
   std::unique_ptr<runtime::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
 

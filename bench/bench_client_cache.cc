@@ -18,6 +18,7 @@
 #include "common/stats.h"
 #include "common/zipf.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "sim/cache.h"
 #include "sim/simulation.h"
 
@@ -91,11 +92,14 @@ double MeanAccessLatency(const BroadcastProgram& program, std::size_t capacity,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Workload shape flags (runtime/flags.h): --files N items on the
-  // broadcast, --theta X Zipf skew of the client's accesses.
-  const auto files = static_cast<std::size_t>(
-      benchutil::UintFlag(argc, argv, "files", 12));
-  const double theta = benchutil::DoubleFlag(argc, argv, "theta", 0.95);
+  std::uint64_t files = 12;
+  double theta = 0.95;
+  runtime::ParseCommandLine(
+      argc, argv,
+      {{"files", runtime::FlagKind::kUint, "items on the broadcast (12)",
+        &files},
+       {"theta", runtime::FlagKind::kDouble,
+        "Zipf skew of the client's accesses (0.95)", &theta}});
   if (files < 2) {
     std::fprintf(stderr, "--files must be >= 2\n");
     return 2;

@@ -30,6 +30,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "faults/channel_spec.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/client.h"
 #include "sim/server.h"
@@ -140,7 +141,9 @@ int CheckByteLevel(const BroadcastProgram& program,
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_threads = benchutil::ThreadsFlag(argc, argv);
+  runtime::ParseCommandLine(argc, argv,
+                            {{"threads", runtime::FlagKind::kThreads,
+                              "worker threads (1)", &g_threads}});
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (g_threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(g_threads);

@@ -24,9 +24,6 @@
 //     floor so sub-second CI smoke configurations aren't gated on timer
 //     noise).
 //
-// Flags: --clients N (1000000), --slots N (10000), --threads N (1),
-//        --seed N (42).
-//
 //   ./bench_fleet_scale --threads 4
 //   ./bench_fleet_scale --clients 100000        # CI smoke configuration
 //
@@ -49,6 +46,7 @@
 #include "faults/channel_spec.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
+#include "runtime/flags.h"
 #include "runtime/rng_stream.h"
 #include "runtime/thread_pool.h"
 #include "sim/arrivals.h"
@@ -114,11 +112,19 @@ bool EnginesAgreeOnSmallConfig(runtime::ThreadPool* pool) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
-  const std::uint64_t clients =
-      benchutil::UintFlag(argc, argv, "clients", 1000000);
-  const std::uint64_t slots = benchutil::UintFlag(argc, argv, "slots", 10000);
-  const std::uint64_t seed = benchutil::UintFlag(argc, argv, "seed", 42);
+  unsigned threads = 1;
+  std::uint64_t clients = 1000000;
+  std::uint64_t slots = 10000;
+  std::uint64_t seed = 42;
+  runtime::ParseCommandLine(
+      argc, argv,
+      {{"clients", runtime::FlagKind::kUint, "clients in the fleet (1000000)",
+        &clients},
+       {"slots", runtime::FlagKind::kUint, "trace length in slots (10000)",
+        &slots},
+       {"threads", runtime::FlagKind::kThreads, "worker threads (1)",
+        &threads},
+       {"seed", runtime::FlagKind::kUint, "fleet seed (42)", &seed}});
 
   std::unique_ptr<runtime::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);

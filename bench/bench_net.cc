@@ -15,9 +15,6 @@
 //     primed-full bucket front-loads one burst, so short runs read a
 //     fraction of a percent hot — the run length is sized to keep that
 //     inside the gate with room to spare.
-//
-// Flags: --block-size SIZE (32KiB), --seconds S (1.0 per rate),
-//        --tolerance-pct P (5.0), --threads N (reported).
 
 #include <cinttypes>
 #include <cmath>
@@ -40,6 +37,7 @@ namespace net = bdisk::net;
 namespace broadcast = bdisk::broadcast;
 namespace sim = bdisk::sim;
 using bdisk::Rng;
+using bdisk::runtime::FlagKind;
 
 // Granted-rate error (percent) of the pure ReserveAt arithmetic on a
 // virtual clock: reserve `sends` datagrams back to back and compare the
@@ -65,13 +63,20 @@ double VirtualClockErrorPct(std::uint64_t rate, std::uint64_t datagram_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ThreadsFlag(argc, argv, 1);
-  const std::uint64_t block_size =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "block-size", 32 * 1024);
-  const double seconds =
-      bdisk::runtime::DoubleFlag(argc, argv, "seconds", 1.0);
-  const double tolerance_pct =
-      bdisk::runtime::DoubleFlag(argc, argv, "tolerance-pct", 5.0);
+  unsigned threads = 1;
+  std::uint64_t block_size = 32 * 1024;
+  double seconds = 1.0;
+  double tolerance_pct = 5.0;
+  bdisk::runtime::ParseCommandLine(
+      argc, argv,
+      {{"block-size", FlagKind::kByteSize, "datagram payload size (32KiB)",
+        &block_size},
+       {"seconds", FlagKind::kDouble, "wall-clock run per rate (1.0)",
+        &seconds},
+       {"tolerance-pct", FlagKind::kDouble,
+        "pacing gate, percent of the budget (5.0)", &tolerance_pct},
+       {"threads", FlagKind::kThreads, "thread count reported (1)",
+        &threads}});
 
   // A dense single-file program: every slot carries a block, so the wire
   // stream is uniform datagrams of block_size + header.

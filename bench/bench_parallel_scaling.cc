@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "faults/channel_model.h"
 #include "ida/dispersal.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -155,7 +156,11 @@ bool ScaleWorkload(const std::vector<unsigned>& thread_counts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned max_threads = benchutil::ThreadsFlag(argc, argv, 8);
+  unsigned max_threads = 8;
+  runtime::ParseCommandLine(argc, argv,
+                            {{"threads", runtime::FlagKind::kThreads,
+                              "largest thread count swept (8)",
+                              &max_threads}});
   std::vector<unsigned> thread_counts;
   for (unsigned t = 1; t < max_threads; t *= 2) thread_counts.push_back(t);
   thread_counts.push_back(max_threads);  // Include non-power-of-two caps.

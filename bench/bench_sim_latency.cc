@@ -10,6 +10,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -59,7 +60,10 @@ Row Run(const BroadcastProgram& p, const faults::ChannelModel& channel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
+  unsigned threads = 1;
+  runtime::ParseCommandLine(argc, argv,
+                            {{"threads", runtime::FlagKind::kThreads,
+                              "worker threads (1)", &threads}});
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);

@@ -8,10 +8,8 @@
 // — the store serves from disk, it does not become a cache. The process
 // exits non-zero if VmHWM crosses the cap, so CI can gate on it.
 //
-// Flags: --store-bytes SIZE (256MiB), --cap-bytes SIZE (64MiB),
-//        --reads N (1024), --device-block SIZE (4KiB),
-//        --path FILE (/tmp/bdisk_bench_store.dev), --threads N (reported).
-// Sizes take the byte-size grammar: plain bytes or B/KiB/MiB/GiB.
+// `bench_store --help` lists the flags; sizes take the byte-size grammar:
+// plain bytes or B/KiB/MiB/GiB.
 
 #include <chrono>
 #include <cstdio>
@@ -29,6 +27,7 @@
 namespace {
 
 using bdisk::Rng;
+using bdisk::runtime::FlagKind;
 namespace store = bdisk::store;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -66,17 +65,24 @@ void FillPayload(std::vector<std::uint8_t>* payload, Rng* rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ThreadsFlag(argc, argv, 1);
-  const std::uint64_t store_bytes =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "store-bytes", 256ull << 20);
-  const std::uint64_t cap_bytes =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "cap-bytes", 64ull << 20);
-  const std::uint64_t reads =
-      bdisk::runtime::UintFlag(argc, argv, "reads", 1024);
-  const std::uint64_t device_block =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "device-block", 4096);
-  const char* path = bdisk::runtime::ConsumeStringFlag(
-      &argc, argv, "path", "/tmp/bdisk_bench_store.dev");
+  unsigned threads = 1;
+  std::uint64_t store_bytes = 256ull << 20;
+  std::uint64_t cap_bytes = 64ull << 20;
+  std::uint64_t reads = 1024;
+  std::uint64_t device_block = 4096;
+  const char* path = "/tmp/bdisk_bench_store.dev";
+  bdisk::runtime::ParseCommandLine(
+      argc, argv,
+      {{"store-bytes", FlagKind::kByteSize, "catalog size (256MiB)",
+        &store_bytes},
+       {"cap-bytes", FlagKind::kByteSize, "peak-RSS cap (64MiB)", &cap_bytes},
+       {"reads", FlagKind::kUint, "random coded-block reads (1024)", &reads},
+       {"device-block", FlagKind::kByteSize, "device block size (4KiB)",
+        &device_block},
+       {"path", FlagKind::kString,
+        "device file (/tmp/bdisk_bench_store.dev)", &path},
+       {"threads", FlagKind::kThreads, "thread count reported (1)",
+        &threads}});
 
   // Entry shape: 16 entries of an 8-of-16 dispersal; payload sized so the
   // 16 entries together approximate --store-bytes.

@@ -15,6 +15,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -56,7 +57,10 @@ double MissRate(const BroadcastProgram& p, ClientModel model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
+  unsigned threads = 1;
+  runtime::ParseCommandLine(argc, argv,
+                            {{"threads", runtime::FlagKind::kThreads,
+                              "worker threads (1)", &threads}});
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);

@@ -210,15 +210,52 @@ std::string ComposedChannel::Describe() const {
   return out;
 }
 
+namespace {
+
+// Exactly the listed slots are lost. The set is kept sorted, so FaultAt is
+// a binary search and FillFaults touches only the listed slots in range.
+class LostSlotsChannel final : public ChannelModel {
+ public:
+  explicit LostSlotsChannel(const std::vector<std::uint64_t>& slots)
+      : sorted_(slots) {
+    std::sort(sorted_.begin(), sorted_.end());
+    // One one-slot outage window per listed slot, in the caller's order:
+    // the text ParseChannelSpec re-reads as a ComposedChannel with the
+    // same trace.
+    for (std::uint64_t slot : slots) {
+      if (!description_.empty()) description_ += "+";
+      description_ += OutageChannel(0, slot, 1).Describe();
+    }
+  }
+
+  FaultType FaultAt(std::uint64_t slot) const override {
+    return std::binary_search(sorted_.begin(), sorted_.end(), slot)
+               ? FaultType::kLost
+               : FaultType::kNone;
+  }
+
+  void FillFaults(std::uint64_t begin, std::uint64_t end,
+                  FaultType* out) const override {
+    std::fill(out, out + (end - begin), FaultType::kNone);
+    for (auto it = std::lower_bound(sorted_.begin(), sorted_.end(), begin);
+         it != sorted_.end() && *it < end; ++it) {
+      out[*it - begin] = FaultType::kLost;
+    }
+  }
+
+  std::string Describe() const override { return description_; }
+
+ private:
+  std::vector<std::uint64_t> sorted_;
+  std::string description_;
+};
+
+}  // namespace
+
 std::unique_ptr<ChannelModel> LostSlots(
     const std::vector<std::uint64_t>& slots) {
   if (slots.empty()) return std::make_unique<LosslessChannel>();
-  std::vector<std::unique_ptr<ChannelModel>> windows;
-  windows.reserve(slots.size());
-  for (std::uint64_t slot : slots) {
-    windows.push_back(std::make_unique<OutageChannel>(0, slot, 1));
-  }
-  return std::make_unique<ComposedChannel>(std::move(windows));
+  return std::make_unique<LostSlotsChannel>(slots);
 }
 
 }  // namespace bdisk::faults

@@ -200,10 +200,10 @@ class ComposedChannel final : public ChannelModel {
 };
 
 /// \brief Deterministic fault injection: exactly the listed slots are lost,
-/// every other slot is delivered. Built from one-slot OutageChannel windows
-/// (a ComposedChannel, or LosslessChannel for an empty list), so its
-/// Describe() re-parses through ParseChannelSpec to the same trace.
-/// FaultAt costs O(slots.size()), so keep the list short.
+/// every other slot is delivered (LosslessChannel for an empty list).
+/// Describe() lists one one-slot OutageChannel window per slot, which
+/// re-parses through ParseChannelSpec to the same trace. FaultAt costs
+/// O(log slots.size()); FillFaults O(range + slots in range).
 std::unique_ptr<ChannelModel> LostSlots(
     const std::vector<std::uint64_t>& slots);
 

@@ -4,7 +4,7 @@
 #include <map>
 #include <vector>
 
-#include "runtime/flags.h"
+#include "common/parse.h"
 
 namespace bdisk::faults {
 
@@ -69,7 +69,7 @@ class ModelArgs {
     if (it == values_.end()) return fallback;
     consumed_.push_back(key);
     std::uint64_t value = 0;
-    if (!runtime::ParseUint64Token(it->second.c_str(), &value)) {
+    if (!ParseUint64Token(it->second.c_str(), &value)) {
       return Status::InvalidArgument("channel spec: '" + key + "=" +
                                      it->second + "' in '" + model_ +
                                      "' is not a 64-bit non-negative integer");

@@ -11,7 +11,7 @@
 
 #include <utility>
 
-#include "runtime/flags.h"
+#include "common/parse.h"
 
 namespace bdisk::net {
 
@@ -44,7 +44,7 @@ Result<Endpoint> ParseEndpoint(const std::string& spec) {
     port_text = spec.substr(colon + 1);
   }
   std::uint64_t port = 0;
-  if (!runtime::ParseUint64Token(port_text.c_str(), &port) || port > 65535) {
+  if (!ParseUint64Token(port_text.c_str(), &port) || port > 65535) {
     return Status::InvalidArgument("net: bad port in endpoint '" + spec + "'");
   }
   ep.port = static_cast<std::uint16_t>(port);

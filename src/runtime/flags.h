@@ -1,328 +1,95 @@
 /// \file flags.h
-/// \brief Command-line parsing for the flags shared across executables.
+/// \brief The one command-line flag table every executable parses with.
+///
+/// An executable declares its flags as a table — each entry a name, a
+/// kind, a help line and a target variable — and hands argv to
+/// ParseCommandLine. Both spellings are accepted, `--name V` and
+/// `--name=V`; arguments that are not flags are collected as positionals
+/// (a lone `-` is a positional: "read stdin"). Parsing is strict: an
+/// unknown flag, a flag given twice, a malformed value and a missing value
+/// are errors naming the flag, never a silent fall back to the default.
+/// `--help` / `-h` prints the usage line and one line per flag, both
+/// generated from the table.
 ///
 /// Pools are owned at the edge (docs/ARCHITECTURE.md), so every executable
-/// that takes a thread count parses the same flag. One parser keeps the
-/// semantics uniform across benches and tools: `--threads N` or
-/// `--threads=N`; absent, zero, negative, or malformed values fall back.
-/// The generic UintFlag / DoubleFlag / ConsumeBoolFlag helpers give bench
-/// and tool parameters (`--files N`, `--theta X`, `--adaptive`) the same
-/// two spellings and fallback behaviour.
+/// that takes a thread count declares it with FlagKind::kThreads, whose
+/// range check keeps a typo from spawning thousands of threads.
 
 #ifndef BDISK_RUNTIME_FLAGS_H_
 #define BDISK_RUNTIME_FLAGS_H_
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "common/status.h"
 
 namespace bdisk::runtime {
 
-/// \brief Strict decimal uint64 parse: the whole token, no sign, no
-/// whitespace, no overflow (ERANGE would otherwise silently saturate to
-/// ULLONG_MAX). The single parser behind UintFlag, the planner's value
-/// flags, and the channel-spec grammar.
-inline bool ParseUint64Token(const char* token, std::uint64_t* out) {
-  if (token == nullptr || token[0] < '0' || token[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(token, &end, 10);
-  if (end == token || *end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-/// \brief Strict byte-size parse: a decimal count with an optional binary
-/// suffix (`B`, `KiB`, `MiB`, `GiB` — exact spelling, no space). Used by
-/// `--store-bytes`-style flags so capacities read as "256MiB" instead of
-/// nine-digit literals. Rejects anything else: sign, whitespace, decimal
-/// fractions, SI suffixes (`KB`), and products that overflow 64 bits.
-inline bool ParseByteSizeToken(const char* token, std::uint64_t* out) {
-  if (token == nullptr || token[0] < '0' || token[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(token, &end, 10);
-  if (end == token || errno == ERANGE) return false;
-  unsigned shift = 0;
-  if (*end != '\0') {
-    if (std::strcmp(end, "B") == 0) {
-      shift = 0;
-    } else if (std::strcmp(end, "KiB") == 0) {
-      shift = 10;
-    } else if (std::strcmp(end, "MiB") == 0) {
-      shift = 20;
-    } else if (std::strcmp(end, "GiB") == 0) {
-      shift = 30;
-    } else {
-      return false;
-    }
-  }
-  if (shift != 0 && value > (~0ull >> shift)) return false;
-  *out = static_cast<std::uint64_t>(value) << shift;
-  return true;
-}
-
-/// \brief ParseByteSizeToken with a typed error naming the offending token
-/// (channel-spec error style) for callers that report to users.
-inline Result<std::uint64_t> ParseByteSize(const std::string& token) {
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(token.c_str(), &value)) {
-    return Status::InvalidArgument(
-        "byte size: '" + token +
-        "' is not a decimal count with an optional B, KiB, MiB, or GiB "
-        "suffix");
-  }
-  return value;
-}
-
 /// Largest accepted thread count — far above any real machine, low enough
 /// that a typo cannot wrap the unsigned conversion or exhaust the process
 /// spawning threads.
-inline constexpr long kMaxThreadsFlag = 4096;
+inline constexpr unsigned kMaxThreadCount = 4096;
 
-/// \brief Parses one candidate value token. Accepts only a complete
-/// positive integer in (0, kMaxThreadsFlag].
-inline bool ParseThreadsValue(const char* token, unsigned* out) {
-  char* end = nullptr;
-  const long value = std::strtol(token, &end, 10);
-  if (end == token || *end != '\0') return false;
-  if (value <= 0 || value > kMaxThreadsFlag) return false;
-  *out = static_cast<unsigned>(value);
-  return true;
-}
+/// \brief Value grammar of a flag and the type of its target.
+enum class FlagKind {
+  kBool,          ///< Presence only; takes no value. Target: bool*.
+  kUint,          ///< Decimal uint64. Target: std::uint64_t*.
+  kPositiveUint,  ///< Decimal uint64 > 0. Target: std::uint64_t*.
+  kDouble,        ///< Finite decimal number. Target: double*.
+  kByteSize,      ///< ParseByteSizeToken grammar. Target: std::uint64_t*.
+  kString,        ///< Any non-empty token. Target: const char** (into argv).
+  kThreads,       ///< Integer in [1, kMaxThreadCount]. Target: unsigned*.
+};
 
-/// \brief Parses `--threads N` / `--threads=N` from argv without mutating
-/// it; returns `fallback` when the flag is absent or its value malformed.
-inline unsigned ThreadsFlag(int argc, char** argv, unsigned fallback = 1) {
-  unsigned value = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (ParseThreadsValue(argv[i + 1], &value)) return value;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      if (ParseThreadsValue(argv[i] + 10, &value)) return value;
-    }
-  }
-  return fallback;
-}
+/// \brief One table entry. The target keeps its initial value when the
+/// flag is absent, so it doubles as the default.
+struct Flag {
+  const char* name;  ///< Without the leading "--".
+  FlagKind kind;
+  const char* help;  ///< One line for --help.
+  std::variant<bool*, std::uint64_t*, double*, const char**, unsigned*>
+      target;
+};
 
-/// \brief Like ThreadsFlag, but also removes the flag (and its valid
-/// value) from argv, compacting it and updating *argc, so the caller can
-/// treat the remaining arguments as positional. A `--threads` or
-/// `--threads=` whose value is not a valid count is left in place for the
-/// caller's own usage check — neither a positional argument nor a typo is
-/// ever silently consumed.
-inline unsigned ConsumeThreadsFlag(int* argc, char** argv,
-                                   unsigned fallback = 1) {
-  const unsigned threads = ThreadsFlag(*argc, argv, fallback);
-  unsigned ignored = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc &&
-        ParseThreadsValue(argv[i + 1], &ignored)) {
-      ++i;  // Flag plus valid value: drop both.
-      continue;
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
-        ParseThreadsValue(argv[i] + 10, &ignored)) {
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return threads;
-}
+/// \brief What ParseFlags found besides the flag values it stored.
+struct ParsedArgs {
+  std::vector<const char*> positionals;
+  /// Names of the flags that appeared, in command-line order.
+  std::vector<std::string_view> given;
+  /// `--help` or `-h` appeared (parsing stopped there).
+  bool help = false;
 
-/// \brief Value token of `--<name> V` / `--<name>=V`, or nullptr when the
-/// flag is absent or valueless.
-inline const char* FlagValueToken(int argc, char** argv, const char* name) {
-  const std::size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const char* body = argv[i] + 2;
-    if (std::strncmp(body, name, name_len) != 0) continue;
-    if (body[name_len] == '\0') {
-      if (i + 1 < argc) return argv[i + 1];
-    } else if (body[name_len] == '=') {
-      return body + name_len + 1;
-    }
-  }
-  return nullptr;
-}
+  bool Given(std::string_view name) const;
+};
 
-/// \brief Parses `--<name> N` / `--<name>=N` as an unsigned integer;
-/// returns `fallback` when absent or malformed. Negative values are
-/// malformed (strtoull would silently wrap them).
-inline std::uint64_t UintFlag(int argc, char** argv, const char* name,
-                              std::uint64_t fallback) {
-  std::uint64_t value = 0;
-  if (!ParseUint64Token(FlagValueToken(argc, argv, name), &value)) {
-    return fallback;
-  }
-  return value;
-}
+/// \brief Parses argv[1, argc) against `flags`, storing each value in its
+/// target. `positionals` describes the positional arguments for the usage
+/// line; nullptr means the executable takes none, so any positional is an
+/// error. Returns InvalidArgument naming the flag on an unknown flag, a
+/// duplicate, a malformed value, a missing value, or a value given to a
+/// bool flag.
+Result<ParsedArgs> ParseFlags(int argc, char** argv,
+                              const std::vector<Flag>& flags,
+                              const char* positionals);
 
-/// \brief Parses `--<name> SIZE` / `--<name>=SIZE` as a byte size
-/// (ParseByteSizeToken); returns `fallback` when absent or malformed.
-inline std::uint64_t ByteSizeFlag(int argc, char** argv, const char* name,
-                                  std::uint64_t fallback) {
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(FlagValueToken(argc, argv, name), &value)) {
-    return fallback;
-  }
-  return value;
-}
+/// \brief `usage: ARGV0 [--name VALUE] ... POSITIONALS`, newline-terminated.
+std::string UsageLine(const char* argv0, const std::vector<Flag>& flags,
+                      const char* positionals);
 
-/// \brief Parses `--<name> X` / `--<name>=X` as a double; returns
-/// `fallback` when absent or malformed.
-inline double DoubleFlag(int argc, char** argv, const char* name,
-                         double fallback) {
-  const char* token = FlagValueToken(argc, argv, name);
-  if (token == nullptr) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(token, &end);
-  if (end == token || *end != '\0') return fallback;
-  return value;
-}
+/// \brief UsageLine plus one aligned `--name VALUE  help` line per flag
+/// and the `-h, --help` line.
+std::string HelpText(const char* argv0, const std::vector<Flag>& flags,
+                     const char* positionals);
 
-/// \brief Value of `--<name> V` / `--<name>=V` as a string, removing the
-/// flag (and its value) from argv and updating *argc so the caller can
-/// treat the remaining arguments as positional; returns `fallback` when
-/// the flag is absent. A trailing `--<name>` with no value is left in
-/// place for the caller's own usage check.
-inline const char* ConsumeStringFlag(int* argc, char** argv, const char* name,
-                                     const char* fallback = nullptr) {
-  const char* value = fallback;
-  const std::size_t name_len = std::strlen(name);
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      const char* body = argv[i] + 2;
-      if (std::strncmp(body, name, name_len) == 0) {
-        if (body[name_len] == '\0' && i + 1 < *argc) {
-          value = argv[i + 1];
-          ++i;  // Flag plus value: drop both.
-          continue;
-        }
-        if (body[name_len] == '=') {
-          value = body + name_len + 1;
-          continue;
-        }
-      }
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return value;
-}
-
-/// \brief True iff `--<name>` appears in argv; removes it (compacting argv
-/// and updating *argc) so the caller can treat the rest as positional.
-inline bool ConsumeBoolFlag(int* argc, char** argv, const char* name) {
-  bool present = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0 &&
-        std::strcmp(argv[i] + 2, name) == 0) {
-      present = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return present;
-}
-
-/// \brief Occurrences of `--<name>` (either spelling: `--<name> V` and
-/// `--<name>=V` both count, as does a bare `--<name>`).
-inline int CountFlagOccurrences(int argc, char** argv, const char* name) {
-  const std::size_t name_len = std::strlen(name);
-  int count = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const char* body = argv[i] + 2;
-    if (std::strncmp(body, name, name_len) != 0) continue;
-    if (body[name_len] == '\0' || body[name_len] == '=') ++count;
-  }
-  return count;
-}
-
-/// \brief Typed error for a flag given more than once. A repeated flag is
-/// almost always an edited-command mistake, and silently letting one
-/// occurrence win (first for the value helpers, last for the consuming
-/// ones — historically they even disagreed) means the user runs something
-/// other than what they read on their own command line.
-inline Status DuplicateFlagError(const char* name) {
-  return Status::InvalidArgument(std::string("flag --") + name +
-                                 " given more than once");
-}
-
-/// \brief Strict ConsumeStringFlag: accepts `--<name> V` and
-/// `--<name>=V`, removes the flag + value from argv, and errors (naming
-/// the flag) when the flag appears more than once. Returns `fallback`
-/// when absent. A trailing valueless `--<name>` is left in place for the
-/// caller's usage check, exactly like ConsumeStringFlag.
-inline Result<const char*> ConsumeStringFlagOnce(
-    int* argc, char** argv, const char* name,
-    const char* fallback = nullptr) {
-  if (CountFlagOccurrences(*argc, argv, name) > 1) {
-    return DuplicateFlagError(name);
-  }
-  return ConsumeStringFlag(argc, argv, name, fallback);
-}
-
-/// \brief Strict presence flag: true iff `--<name>` appears exactly once
-/// (removed from argv); absent is false; more than once is an error
-/// naming the flag.
-inline Result<bool> ConsumeBoolFlagOnce(int* argc, char** argv,
-                                        const char* name) {
-  if (CountFlagOccurrences(*argc, argv, name) > 1) {
-    return DuplicateFlagError(name);
-  }
-  return ConsumeBoolFlag(argc, argv, name);
-}
-
-/// \brief Strict uint flag: both spellings, consumed from argv, duplicate
-/// and malformed values are errors naming the flag; absent = `fallback`.
-inline Result<std::uint64_t> ConsumeUintFlagOnce(int* argc, char** argv,
-                                                 const char* name,
-                                                 std::uint64_t fallback) {
-  BDISK_ASSIGN_OR_RETURN(const char* token,
-                         ConsumeStringFlagOnce(argc, argv, name));
-  if (token == nullptr) return fallback;
-  std::uint64_t value = 0;
-  if (!ParseUint64Token(token, &value)) {
-    return Status::InvalidArgument(std::string("flag --") + name +
-                                   ": '" + token +
-                                   "' is not a non-negative integer");
-  }
-  return value;
-}
-
-/// \brief Strict byte-size flag (ParseByteSizeToken grammar): both
-/// spellings, consumed, duplicates and malformed values are errors naming
-/// the flag; absent = `fallback`.
-inline Result<std::uint64_t> ConsumeByteSizeFlagOnce(int* argc, char** argv,
-                                                     const char* name,
-                                                     std::uint64_t fallback) {
-  BDISK_ASSIGN_OR_RETURN(const char* token,
-                         ConsumeStringFlagOnce(argc, argv, name));
-  if (token == nullptr) return fallback;
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(token, &value)) {
-    return Status::InvalidArgument(
-        std::string("flag --") + name + ": '" + token +
-        "' is not a byte size (decimal count with optional B/KiB/MiB/GiB)");
-  }
-  return value;
-}
-
+/// \brief ParseFlags for an executable's main: on --help prints HelpText
+/// to stdout and exits 0; on an error prints it with the usage line to
+/// stderr and exits 2. Otherwise returns the parse.
+ParsedArgs ParseCommandLine(int argc, char** argv,
+                            const std::vector<Flag>& flags,
+                            const char* positionals = nullptr);
 
 }  // namespace bdisk::runtime
 

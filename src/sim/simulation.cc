@@ -23,6 +23,15 @@ std::vector<faults::FaultType> RealizeChannel(
   return trace;
 }
 
+// The event engine over a simulator's program or epoch schedule (exactly
+// one of the two is non-null).
+EventEngine MakeEventEngine(const broadcast::BroadcastProgram* program,
+                            const EpochSchedule* schedule,
+                            const std::vector<faults::FaultType>& faults) {
+  return schedule != nullptr ? EventEngine(*schedule, faults)
+                             : EventEngine(*program, faults);
+}
+
 }  // namespace
 
 Simulator::Simulator(const broadcast::BroadcastProgram& program,
@@ -382,12 +391,8 @@ Result<SimulationMetrics> Simulator::RunWorkloadEvented(
     client.deadline_slots = deadlines[f];
     return client;
   };
-  if (schedule_ != nullptr) {
-    const EventEngine engine(*schedule_, faults_);
-    return engine.Run(total, client_at, pool, nullptr, timeline, trace);
-  }
-  const EventEngine engine(*program_, faults_);
-  return engine.Run(total, client_at, pool, nullptr, timeline, trace);
+  return MakeEventEngine(program_, schedule_, faults_)
+      .Run(total, client_at, pool, nullptr, timeline, trace);
 }
 
 Result<TransactionMetrics> Simulator::RunTransactionWorkload(
@@ -482,80 +487,17 @@ Result<SimulationMetrics> Simulator::RunRequests(
     }
   }
 
-  const unsigned shards = runtime::ShardCountFor(pool, requests.size());
-  std::vector<SimulationMetrics> shard_metrics(shards);
-  std::vector<obs::Timeline> shard_timelines;
-  if (timeline != nullptr) {
-    shard_timelines.assign(
-        shards, obs::Timeline(timeline->interval_slots(),
-                              timeline->horizon()));
-  }
-  std::vector<obs::TraceSink> shard_traces;
-  if (trace != nullptr) {
-    shard_traces.assign(shards, obs::TraceSink(trace->options()));
-  }
-  obs::HistogramMetric* dispatch_us = obs::GlobalRegistry().GetHistogram(
-      "phase.slot_dispatch_us", obs::PhaseTimerBoundsUs());
-  runtime::ParallelFor(
-      pool, requests.size(), shards,
-      [&](unsigned shard, runtime::ShardRange range) {
-        obs::ScopedPhaseTimer timer(dispatch_us);
-        SimulationMetrics& local = shard_metrics[shard];
-        obs::Timeline* local_tl =
-            timeline != nullptr ? &shard_timelines[shard] : nullptr;
-        obs::TraceSink* local_tr =
-            trace != nullptr ? &shard_traces[shard] : nullptr;
-        if (local_tl != nullptr) {
-          local_tl->Reserve(static_cast<std::size_t>(range.end - range.begin));
-        }
-        local.per_file.resize(file_count);
-        for (std::uint64_t g = range.begin; g < range.end; ++g) {
-          auto outcome = Retrieve(requests[g]);
-          BDISK_CHECK(outcome.ok());  // Inputs were validated above.
-          if (local_tr != nullptr) {
-            RecordTraceSpan(local_tr, g, requests[g], *outcome);
-          }
-          FileMetrics& fm = local.per_file[requests[g].file];
-          if (outcome->completed) {
-            ++fm.completed;
-            fm.latency.Add(static_cast<double>(outcome->latency));
-            fm.stall.Add(static_cast<double>(outcome->stall_slots));
-            fm.periods_to_recovery.Add(
-                static_cast<double>(outcome->periods_to_recovery));
-            if (!outcome->met_deadline) ++fm.missed_deadline;
-            if (local_tl != nullptr) {
-              local_tl->RecordCompleted(outcome->completion_slot,
-                                        outcome->latency,
-                                        outcome->stall_slots,
-                                        outcome->met_deadline,
-                                        outcome->errors_observed,
-                                        outcome->corrupt_detected);
-            }
-          } else {
-            ++fm.incomplete;
-            if (local_tl != nullptr) {
-              local_tl->RecordIncomplete(outcome->errors_observed,
-                                         outcome->corrupt_detected);
-            }
-          }
-          fm.errors_observed += outcome->errors_observed;
-          fm.corrupt_detected += outcome->corrupt_detected;
-        }
-      });
-
-  SimulationMetrics metrics;
-  metrics.per_file.resize(file_count);
-  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-    metrics.per_file[f].file_name = files()[f].name;
-  }
-  for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
-  if (timeline != nullptr) {
-    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
-  }
-  if (trace != nullptr) {
-    for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));
-  }
-  return metrics;
+  // kFlat is only legal with n == m (checked above), where it equals the
+  // event engine's any-m-distinct rule.
+  const auto client_at = [&requests](std::uint64_t g) {
+    EventClient client;
+    client.file = requests[g].file;
+    client.start_slot = requests[g].start_slot;
+    client.deadline_slots = requests[g].deadline_slots;
+    return client;
+  };
+  return MakeEventEngine(program_, schedule_, faults_)
+      .Run(requests.size(), client_at, pool, nullptr, timeline, trace);
 }
 
 std::uint64_t Simulator::CorruptedSlotCount() const {

@@ -206,10 +206,12 @@ class Simulator {
       runtime::ThreadPool* pool = nullptr) const;
 
   /// Replays an explicit request list (e.g. a recorded or generated trace)
-  /// and aggregates per-file metrics. Requests are sharded by index across
-  /// `pool` with the usual exact-merge determinism contract; results are
-  /// bit-identical to the serial path at any thread count. Fails up front
-  /// on any invalid request (unknown file, start beyond the horizon).
+  /// on the event engine and aggregates per-file metrics; request g is
+  /// client g. Requests are sharded by index across `pool` with the usual
+  /// exact-merge determinism contract; results are bit-identical to the
+  /// serial path at any thread count and to a per-request Retrieve. Fails
+  /// up front on any invalid request (unknown file, start beyond the
+  /// horizon, flat model on a file with n != m).
   Result<SimulationMetrics> RunRequests(
       const std::vector<ClientRequest>& requests,
       runtime::ThreadPool* pool = nullptr,

@@ -4,8 +4,8 @@
 #include <cstring>
 #include <map>
 
+#include "common/parse.h"
 #include "common/random.h"
-#include "runtime/flags.h"
 #include "runtime/rng_stream.h"
 
 namespace bdisk::store {
@@ -73,7 +73,7 @@ class ModelArgs {
     if (it == values_.end()) return fallback;
     consumed_.push_back(key);
     std::uint64_t value = 0;
-    if (!runtime::ParseUint64Token(it->second.c_str(), &value)) {
+    if (!ParseUint64Token(it->second.c_str(), &value)) {
       return Status::InvalidArgument("device fault spec: '" + key + "=" +
                                      it->second + "' in '" + model_ +
                                      "' is not a 64-bit non-negative integer");

@@ -47,14 +47,19 @@ TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
   const GilbertElliottChannel gilbert(params, 5);
   const CorruptionChannel corrupt(0.15, 5);
   const OutageChannel outage(64, 10, 7);
+  constexpr std::uint64_t kHorizon = 1500;
   const auto lost = LostSlots({777, 3, 256, 5, 1499});
+  // 256 slots spread over the whole horizon, listed in descending order.
+  std::vector<std::uint64_t> spread;
+  for (std::uint64_t i = 256; i-- > 0;) spread.push_back(i * kHorizon / 256);
+  const auto lost_many = LostSlots(spread);
   for (const ChannelModel* model :
        {static_cast<const ChannelModel*>(&bern),
         static_cast<const ChannelModel*>(&gilbert),
         static_cast<const ChannelModel*>(&corrupt),
         static_cast<const ChannelModel*>(&outage),
-        static_cast<const ChannelModel*>(lost.get())}) {
-    constexpr std::uint64_t kHorizon = 1500;
+        static_cast<const ChannelModel*>(lost.get()),
+        static_cast<const ChannelModel*>(lost_many.get())}) {
     const std::vector<FaultType> fill = Realize(*model, kHorizon);
     // Per-slot random access, probed out of order.
     for (std::uint64_t t = kHorizon; t-- > 0;) {

@@ -1,6 +1,7 @@
-// Tests for the runtime layer: ThreadPool, ShardOf/ParallelFor, and
-// counter-based RNG streams. The concurrency cases double as
-// ThreadSanitizer targets (the CI tsan job runs this binary).
+// Tests for the runtime layer: ThreadPool, ShardOf/ParallelFor,
+// counter-based RNG streams, and the command-line flag table. The
+// concurrency cases double as ThreadSanitizer targets (the CI tsan job runs
+// this binary).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "common/parse.h"
 #include "runtime/flags.h"
 #include "runtime/parallel_for.h"
 #include "runtime/rng_stream.h"
@@ -163,13 +165,10 @@ TEST(ByteSizeTest, ParsesPlainAndBinarySuffixes) {
     std::uint64_t value = 0;
     EXPECT_TRUE(ParseByteSizeToken(c.token, &value)) << c.token;
     EXPECT_EQ(value, c.expected) << c.token;
-    const auto result = ParseByteSize(c.token);
-    ASSERT_TRUE(result.ok()) << c.token;
-    EXPECT_EQ(*result, c.expected) << c.token;
   }
 }
 
-TEST(ByteSizeTest, RejectsMalformedInputNamingTheToken) {
+TEST(ByteSizeTest, RejectsMalformedInput) {
   const char* kBad[] = {
       "",      "-1",    "1.5GiB", "12 KiB", "KiB",        "64MB",
       "64KB",  "64kib", "64GiB ", "0x10",   "99999999999GiB",  // Overflows.
@@ -178,120 +177,146 @@ TEST(ByteSizeTest, RejectsMalformedInputNamingTheToken) {
   for (const char* token : kBad) {
     std::uint64_t value = 0;
     EXPECT_FALSE(ParseByteSizeToken(token, &value)) << token;
-    const auto result = ParseByteSize(token);
-    ASSERT_FALSE(result.ok()) << token;
-    EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
-    // The error names the offending token (channel-spec error style).
-    EXPECT_NE(result.status().message().find("'" + std::string(token) + "'"),
-              std::string::npos)
-        << result.status();
   }
   std::uint64_t value = 0;
   EXPECT_FALSE(ParseByteSizeToken(nullptr, &value));
 }
 
-TEST(ByteSizeTest, ByteSizeFlagParsesAndFallsBack) {
-  const char* argv_ok[] = {"prog", "--store-bytes", "8MiB"};
-  EXPECT_EQ(ByteSizeFlag(3, const_cast<char**>(argv_ok), "store-bytes", 7),
-            8ull << 20);
-  const char* argv_eq[] = {"prog", "--cap-bytes=512KiB"};
-  EXPECT_EQ(ByteSizeFlag(2, const_cast<char**>(argv_eq), "cap-bytes", 7),
-            512ull << 10);
-  const char* argv_bad[] = {"prog", "--store-bytes", "8MB"};
-  EXPECT_EQ(ByteSizeFlag(3, const_cast<char**>(argv_bad), "store-bytes", 7),
-            7u);
-  EXPECT_EQ(ByteSizeFlag(1, const_cast<char**>(argv_ok), "store-bytes", 7),
-            7u);
+// A table with an entry of every kind, whose targets start at their
+// defaults; Parse prepends the program name to `args`.
+struct FlagFixture {
+  bool follow = false;
+  std::uint64_t port = 7;
+  std::uint64_t rows = 20;
+  double theta = 0.5;
+  std::uint64_t cap = 64;
+  const char* path = "default";
+  unsigned threads = 1;
+  std::uint64_t portable = 0;
+
+  std::vector<Flag> Table() {
+    return {
+        {"follow", FlagKind::kBool, "keep polling", &follow},
+        {"port", FlagKind::kUint, "port number", &port},
+        {"rows", FlagKind::kPositiveUint, "rows shown", &rows},
+        {"theta", FlagKind::kDouble, "Zipf skew", &theta},
+        {"cap", FlagKind::kByteSize, "capacity", &cap},
+        {"path", FlagKind::kString, "output path", &path},
+        {"threads", FlagKind::kThreads, "worker threads", &threads},
+        {"portable", FlagKind::kUint, "shares a prefix with --port",
+         &portable},
+    };
+  }
+
+  Result<ParsedArgs> Parse(std::vector<const char*> args,
+                           const char* positionals = "FILE...") {
+    args.insert(args.begin(), "prog");
+    args.push_back(nullptr);
+    return ParseFlags(static_cast<int>(args.size() - 1),
+                      const_cast<char**>(args.data()), Table(), positionals);
+  }
+};
+
+TEST(FlagTableTest, AcceptsBothSpellingsAndCollectsPositionals) {
+  FlagFixture f;
+  const auto parsed =
+      f.Parse({"in", "--port", "9000", "--rows=3", "-", "--follow",
+               "--theta", "-1.25", "--cap=8MiB", "--path", "out.json",
+               "--threads", "4096", "last"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(f.follow);
+  EXPECT_EQ(f.port, 9000u);
+  EXPECT_EQ(f.rows, 3u);
+  EXPECT_EQ(f.theta, -1.25);
+  EXPECT_EQ(f.cap, 8ull << 20);
+  EXPECT_STREQ(f.path, "out.json");
+  EXPECT_EQ(f.threads, kMaxThreadCount);
+  EXPECT_EQ(f.portable, 0u);  // Absent: the target keeps its default.
+  ASSERT_EQ(parsed->positionals.size(), 3u);
+  EXPECT_STREQ(parsed->positionals[0], "in");
+  EXPECT_STREQ(parsed->positionals[1], "-");  // A lone '-' is positional.
+  EXPECT_STREQ(parsed->positionals[2], "last");
+  EXPECT_TRUE(parsed->Given("port"));
+  EXPECT_TRUE(parsed->Given("follow"));
+  EXPECT_FALSE(parsed->Given("portable"));
+  EXPECT_FALSE(parsed->help);
+
+  // --port and --portable are different flags, not a duplicate.
+  FlagFixture g;
+  const auto prefixed = g.Parse({"--port", "1", "--portable=2"});
+  ASSERT_TRUE(prefixed.ok()) << prefixed.status();
+  EXPECT_EQ(g.port, 1u);
+  EXPECT_EQ(g.portable, 2u);
 }
 
-TEST(StrictFlagTest, AcceptsBothSpellingsAndConsumes) {
-  {
-    char a0[] = "prog", a1[] = "--port", a2[] = "9000", a3[] = "file";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-    ASSERT_TRUE(v.ok()) << v.status();
-    EXPECT_EQ(*v, 9000u);
-    ASSERT_EQ(argc, 2);  // Flag and value consumed; positional kept.
-    EXPECT_STREQ(argv[1], "file");
-    EXPECT_EQ(argv[2], nullptr);  // argv[argc] == NULL preserved.
+TEST(FlagTableTest, BadInputErrorsNamingTheFlag) {
+  const struct {
+    std::vector<const char*> args;
+    const char* named;  // The flag or argument the message must name.
+  } kCases[] = {
+      {{"--bogus", "1"}, "--bogus"},                  // Unknown.
+      {{"--bogus=1"}, "--bogus"},                     // Unknown, '=' form.
+      {{"-x"}, "-x"},                                 // Unknown short flag.
+      {{"--port", "1", "--port", "2"}, "--port"},     // Duplicate.
+      {{"--port=1", "--port", "2"}, "--port"},        // Mixed spellings.
+      {{"--follow", "--follow"}, "--follow"},         // Duplicate bool.
+      {{"--port", "-3"}, "--port"},                   // Malformed uint.
+      {{"--port", "100k"}, "--port"},                 // Unit suffix.
+      {{"--rows", "0"}, "--rows"},                    // Not positive.
+      {{"--theta", "x"}, "--theta"},                  // Malformed double.
+      {{"--theta=inf"}, "--theta"},                   // Not finite.
+      {{"--cap", "1GB"}, "--cap"},                    // SI suffix.
+      {{"--threads", "0"}, "--threads"},              // Below range.
+      {{"--threads", "4097"}, "--threads"},           // Above range.
+      {{"--port"}, "--port"},                         // Missing value.
+      {{"--port="}, "--port"},                        // Empty value.
+      {{"--path", "--follow"}, "--path"},             // Value is a flag.
+      {{"--follow=1"}, "--follow"},                   // Bool given a value.
+  };
+  for (const auto& c : kCases) {
+    FlagFixture f;
+    const auto parsed = f.Parse(c.args);
+    ASSERT_FALSE(parsed.ok()) << c.args[0];
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+    EXPECT_NE(parsed.status().message().find(c.named), std::string::npos)
+        << parsed.status();
   }
-  {
-    char a0[] = "prog", a1[] = "--port=9000";
-    char* argv[] = {a0, a1, nullptr};
-    int argc = 2;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-    ASSERT_TRUE(v.ok()) << v.status();
-    EXPECT_EQ(*v, 9000u);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    char a0[] = "prog";
-    char* argv[] = {a0, nullptr};
-    int argc = 1;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(*v, 7u);  // Absent: fallback.
-  }
+  // A malformed value is quoted next to the flag.
+  FlagFixture g;
+  const auto bad = g.Parse({"--cap=8MB"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("--cap: '8MB'"), std::string::npos)
+      << bad.status();
+  // An executable without positionals rejects one, naming it.
+  FlagFixture f;
+  const auto parsed = f.Parse({"--port", "1", "stray"}, nullptr);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("'stray'"), std::string::npos)
+      << parsed.status();
 }
 
-TEST(StrictFlagTest, DuplicateFlagErrorsNamingTheFlag) {
-  // Same spelling twice.
-  {
-    char a0[] = "prog", a1[] = "--port", a2[] = "1", a3[] = "--port",
-         a4[] = "2";
-    char* argv[] = {a0, a1, a2, a3, a4, nullptr};
-    int argc = 5;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-    ASSERT_FALSE(v.ok());
-    EXPECT_TRUE(v.status().IsInvalidArgument());
-    EXPECT_NE(v.status().message().find("--port"), std::string::npos)
-        << v.status();
+TEST(FlagTableTest, HelpIsGeneratedFromTheTable) {
+  for (const char* spelling : {"--help", "-h"}) {
+    FlagFixture f;
+    const auto parsed = f.Parse({"--port", "1", spelling, "--bogus"});
+    ASSERT_TRUE(parsed.ok()) << parsed.status();  // Stops at the help flag.
+    EXPECT_TRUE(parsed->help);
   }
-  // Mixed spellings count as the same flag.
-  {
-    char a0[] = "prog", a1[] = "--port=1", a2[] = "--port", a3[] = "2";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeStringFlagOnce(&argc, argv, "port");
-    ASSERT_FALSE(v.ok());
-    EXPECT_NE(v.status().message().find("--port"), std::string::npos);
+  FlagFixture f;
+  const std::vector<Flag> table = f.Table();
+  const std::string help = HelpText("prog", table, "FILE...");
+  EXPECT_EQ(help.rfind("usage: prog ", 0), 0u) << help;
+  EXPECT_EQ(help.substr(0, help.find('\n') + 1),
+            UsageLine("prog", table, "FILE..."));
+  EXPECT_NE(help.find("--follow]"), std::string::npos) << help;
+  EXPECT_NE(help.find("[--cap SIZE]"), std::string::npos) << help;
+  EXPECT_NE(help.find(" FILE...\n"), std::string::npos) << help;
+  for (const Flag& flag : table) {
+    EXPECT_NE(help.find("\n  --" + std::string(flag.name)), std::string::npos)
+        << flag.name;
+    EXPECT_NE(help.find(flag.help), std::string::npos) << flag.name;
   }
-  // Bool flags too.
-  {
-    char a0[] = "prog", a1[] = "--follow", a2[] = "--follow";
-    char* argv[] = {a0, a1, a2, nullptr};
-    int argc = 3;
-    const auto v = ConsumeBoolFlagOnce(&argc, argv, "follow");
-    ASSERT_FALSE(v.ok());
-    EXPECT_NE(v.status().message().find("--follow"), std::string::npos);
-  }
-  // A different flag sharing the prefix is NOT a duplicate.
-  {
-    char a0[] = "prog", a1[] = "--port", a2[] = "1", a3[] = "--portable";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-    ASSERT_TRUE(v.ok()) << v.status();
-    EXPECT_EQ(*v, 1u);
-  }
-}
-
-TEST(StrictFlagTest, MalformedValueErrorsNamingFlagAndToken) {
-  char a0[] = "prog", a1[] = "--port", a2[] = "-3";
-  char* argv[] = {a0, a1, a2, nullptr};
-  int argc = 3;
-  const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.status().message().find("--port"), std::string::npos);
-  EXPECT_NE(v.status().message().find("-3"), std::string::npos);
-
-  char b0[] = "prog", b1[] = "--bandwidth=8MB";
-  char* argv2[] = {b0, b1, nullptr};
-  int argc2 = 2;
-  const auto w = ConsumeByteSizeFlagOnce(&argc2, argv2, "bandwidth", 0);
-  ASSERT_FALSE(w.ok());
-  EXPECT_NE(w.status().message().find("--bandwidth"), std::string::npos);
+  EXPECT_NE(help.find("\n  -h, --help"), std::string::npos) << help;
 }
 
 }  // namespace

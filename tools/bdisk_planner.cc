@@ -7,12 +7,7 @@
 // program layout, and the exact worst-case retrieval latency per fault
 // level.
 //
-// Usage:
-//   bdisk_planner [--threads N] [--adaptive] [--channel SPEC]
-//                 [--engine slot|event] [--requests N] [--seed S]
-//                 workload.spec
-//   bdisk_planner [...] - < workload.spec
-//   bdisk_planner --help | -h
+// `bdisk_planner --help` lists the flags; `-` as the spec reads stdin.
 //
 // --threads N fans the per-file worst-case delay analysis (the exact
 // adversary computation, the planner's dominant cost on big specs) out
@@ -34,19 +29,16 @@
 // adaptive replay; without --channel that replay runs over
 // bernoulli:p=0.02,seed=99.
 //
-// --engine selects the simulation core for the channel replay: `slot` (the
-// default) walks every slot; `event` runs the discrete-event engine
-// (src/sim/event_engine.h), which produces byte-identical metrics but
-// scales to million-client fleets.
+// Every replay runs on the discrete-event engine (src/sim/event_engine.h),
+// proven byte-identical to the slot-by-slot oracle.
 //
 // --metrics-out PATH streams periodic JSON-line snapshots of the replay
 // (obs/snapshot.h; "-" = stdout) every --metrics-interval N slots
 // (default: one program period). The stream is deterministic — identical
-// at any thread count and across both engines — and is what `bdisk_top`
-// tails. With --adaptive, the static and adaptive replays append their
-// own streams to the same file; the global metric registry is reset
-// between the two, so each stream's registry line covers only its own
-// replay.
+// at any thread count — and is what `bdisk_top` tails. With --adaptive,
+// the static and adaptive replays append their own streams to the same
+// file; the global metric registry is reset between the two, so each
+// stream's registry line covers only its own replay.
 //
 // --trace-out PATH writes a Chrome trace-event JSON document (open in
 // chrome://tracing or Perfetto; "-" = stdout) of the causal spans the
@@ -57,8 +49,7 @@
 // shard, dumped when an anomaly fires. The trace covers the --channel
 // replay and, with --adaptive, both adaptive-experiment replays plus the
 // controller's per-interval swap decisions. Deterministic: byte-identical
-// at any thread count and across both engines. `bdisk_trace` filters and
-// summarizes the file.
+// at any thread count. `bdisk_trace` filters and summarizes the file.
 //
 // --store PATH materializes the planned program into a crash-safe
 // persistent block store (src/store/) at PATH: deterministic per-file
@@ -109,6 +100,7 @@
 #include "bdisk/flat_builder.h"
 #include "bdisk/pinwheel_builder.h"
 #include "bdisk/spec_parser.h"
+#include "common/parse.h"
 #include "common/random.h"
 #include "faults/channel_spec.h"
 #include "ida/dispersal.h"
@@ -131,12 +123,12 @@
 namespace {
 
 using namespace bdisk::broadcast;  // NOLINT
+using bdisk::runtime::FlagKind;
 
 bdisk::runtime::ThreadPool* g_pool = nullptr;
 const bdisk::faults::ChannelModel* g_channel = nullptr;
 std::uint64_t g_requests_per_file = 200;
 std::uint64_t g_workload_seed = 42;
-bool g_evented_engine = false;
 const char* g_metrics_out = nullptr;
 std::uint64_t g_metrics_interval = 0;  // 0 = one program period.
 // The first stream truncates the file; later runs (e.g. the two --adaptive
@@ -185,7 +177,7 @@ int EmitTrace() {
     tracks.push_back({sink.get(), label});
   }
   std::vector<std::pair<std::string, std::string>> metadata;
-  metadata.emplace_back("engine", g_evented_engine ? "event" : "slot");
+  metadata.emplace_back("engine", "event");
   if (g_channel != nullptr) {
     metadata.emplace_back("channel", g_channel->Describe());
   }
@@ -248,8 +240,6 @@ void PrintProgram(const BuildResult& result) {
     }
   }
 }
-
-using bdisk::runtime::ParseUint64Token;
 
 // --store: materialize the planned program into a crash-safe persistent
 // block store at g_store_path, serve one full period back from disk, and
@@ -388,12 +378,8 @@ int ReplayChannel(const BroadcastProgram& planned) {
   if (g_trace_out != nullptr) {
     trace = std::make_unique<bdisk::obs::TraceSink>(g_trace_options);
   }
-  auto metrics =
-      g_evented_engine
-          ? simulator.RunWorkloadEvented(config, g_pool, timeline.get(),
-                                         trace.get())
-          : simulator.RunWorkload(config, g_pool, timeline.get(),
-                                  trace.get());
+  auto metrics = simulator.RunWorkloadEvented(config, g_pool, timeline.get(),
+                                              trace.get());
   if (!metrics.ok()) {
     std::fprintf(stderr, "channel replay failed: %s\n",
                  metrics.status().ToString().c_str());
@@ -406,9 +392,8 @@ int ReplayChannel(const BroadcastProgram& planned) {
   if (trace != nullptr) {
     g_trace_tracks.emplace_back("channel replay", std::move(trace));
   }
-  std::printf("\nchannel replay (%s engine): %s over %llu slots "
+  std::printf("\nchannel replay: %s over %llu slots "
               "(%llu faulty), %llu requests/file, workload seed %llu\n",
-              g_evented_engine ? "event" : "slot",
               g_channel->Describe().c_str(),
               static_cast<unsigned long long>(horizon),
               static_cast<unsigned long long>(simulator.CorruptedSlotCount()),
@@ -740,132 +725,88 @@ int Plan(const std::string& text, bool adaptive) {
   return EmitTrace();
 }
 
-void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s [--threads N] [--adaptive] [--channel SPEC] "
-               "[--engine slot|event] [--requests N] [--seed S] "
-               "[--metrics-out PATH] [--metrics-interval N] "
-               "[--store PATH] [--store-bytes SIZE] "
-               "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
-               "[--trace-flight K] [--serve HOST:PORT | --listen "
-               "HOST:PORT] [--serve-bandwidth RATE] [--serve-horizon N] "
-               "<spec-file | ->\n",
-               argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ConsumeThreadsFlag(&argc, argv);
-  const bool adaptive =
-      bdisk::runtime::ConsumeBoolFlag(&argc, argv, "adaptive");
-  const char* channel_spec =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "channel");
-  const char* requests_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "requests");
-  const char* seed_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "seed");
-  const char* engine_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "engine");
-  g_metrics_out = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                    "metrics-out");
-  const char* metrics_interval_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "metrics-interval");
-  g_store_path = bdisk::runtime::ConsumeStringFlag(&argc, argv, "store");
-  const char* store_bytes_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "store-bytes");
-  g_trace_out = bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-out");
-  const auto serve_flag =
-      bdisk::runtime::ConsumeStringFlagOnce(&argc, argv, "serve");
-  if (!serve_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_flag.status().message().c_str());
+  unsigned threads = 1;
+  bool adaptive = false;
+  const char* channel_spec = nullptr;
+  const char* trace_sample = nullptr;
+  const std::vector<bdisk::runtime::Flag> flags = {
+      {"threads", FlagKind::kThreads,
+       "workers for the delay analysis and the replays (1)",
+       &threads},
+      {"adaptive", FlagKind::kBool,
+       "replay drifting-Zipf demand: static vs adaptive program", &adaptive},
+      {"channel", FlagKind::kString,
+       "replay retrievals over this channel spec (faults/channel_spec.h)",
+       &channel_spec},
+      {"requests", FlagKind::kPositiveUint,
+       "channel-replay retrievals per file (200)", &g_requests_per_file},
+      {"seed", FlagKind::kUint, "channel-replay workload seed (42)",
+       &g_workload_seed},
+      {"metrics-out", FlagKind::kString,
+       "stream JSON-line snapshots of the replays to this path (- = stdout)",
+       &g_metrics_out},
+      {"metrics-interval", FlagKind::kPositiveUint,
+       "snapshot interval in slots (one program period)",
+       &g_metrics_interval},
+      {"store", FlagKind::kString,
+       "materialize the program into a block store at this path",
+       &g_store_path},
+      {"store-bytes", FlagKind::kByteSize,
+       "cap the store device size (sized to fit)", &g_store_bytes},
+      {"trace-out", FlagKind::kString,
+       "write a Chrome trace of the replays to this path (- = stdout)",
+       &g_trace_out},
+      {"trace-sample", FlagKind::kString,
+       "trace every N-th request, given as 1/N or N", &trace_sample},
+      {"trace-stall", FlagKind::kPositiveUint,
+       "always trace stalls of at least this many slots",
+       &g_trace_options.stall_threshold},
+      {"trace-flight", FlagKind::kPositiveUint,
+       "keep only the last K spans per shard until an anomaly",
+       &g_trace_options.flight_recorder_depth},
+      {"serve", FlagKind::kString,
+       "broadcast the program as UDP datagrams to HOST:PORT",
+       &g_serve_endpoint},
+      {"listen", FlagKind::kString,
+       "receive a broadcast of this spec on HOST:PORT and verify it",
+       &g_listen_endpoint},
+      {"serve-bandwidth", FlagKind::kByteSize,
+       "--serve pacing in bytes/s (the spec's channel rate)",
+       &g_serve_bandwidth},
+      {"serve-horizon", FlagKind::kUint,
+       "--serve slot count (the channel replay's horizon)",
+       &g_serve_horizon},
+  };
+  constexpr const char* kPositionals = "<spec-file | ->";
+  const auto args =
+      bdisk::runtime::ParseCommandLine(argc, argv, flags, kPositionals);
+  if (args.positionals.size() != 1) {
+    std::fputs(bdisk::runtime::UsageLine(argv[0], flags, kPositionals).c_str(),
+               stderr);
     return 2;
   }
-  g_serve_endpoint = *serve_flag;
-  const auto listen_flag =
-      bdisk::runtime::ConsumeStringFlagOnce(&argc, argv, "listen");
-  if (!listen_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 listen_flag.status().message().c_str());
+  if (args.Given("store-bytes") && g_store_path == nullptr) {
+    std::fprintf(stderr, "error: --store-bytes requires --store\n");
     return 2;
   }
-  g_listen_endpoint = *listen_flag;
-  const auto serve_bandwidth_flag =
-      bdisk::runtime::ConsumeByteSizeFlagOnce(&argc, argv,
-                                              "serve-bandwidth", 0);
-  if (!serve_bandwidth_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_bandwidth_flag.status().message().c_str());
-    return 2;
-  }
-  g_serve_bandwidth = *serve_bandwidth_flag;
-  const auto serve_horizon_flag =
-      bdisk::runtime::ConsumeUintFlagOnce(&argc, argv, "serve-horizon", 0);
-  if (!serve_horizon_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_horizon_flag.status().message().c_str());
-    return 2;
-  }
-  g_serve_horizon = *serve_horizon_flag;
-  const char* trace_sample_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-sample");
-  const char* trace_stall_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-stall");
-  const char* trace_flight_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-flight");
-  if (argc == 2 && (std::string(argv[1]) == "--help" ||
-                    std::string(argv[1]) == "-h")) {
-    PrintUsage(stdout, argv[0]);
-    return 0;
-  }
-  if (argc != 2) {
-    PrintUsage(stderr, argv[0]);
-    return 2;
-  }
-  if (store_bytes_token != nullptr) {
-    auto parsed = bdisk::runtime::ParseByteSize(store_bytes_token);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: --store-bytes: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    g_store_bytes = *parsed;
-    if (g_store_path == nullptr) {
-      std::fprintf(stderr, "error: --store-bytes requires --store\n");
-      return 2;
-    }
-  }
-  if (trace_sample_token != nullptr) {
+  if (trace_sample != nullptr) {
     // Accepted as "1/N" (the sampling-rate reading) or plain "N".
-    std::string token(trace_sample_token);
+    std::string token(trace_sample);
     if (token.rfind("1/", 0) == 0) token = token.substr(2);
-    if (!ParseUint64Token(token.c_str(), &g_trace_options.sample_every) ||
+    if (!bdisk::ParseUint64Token(token.c_str(),
+                                 &g_trace_options.sample_every) ||
         g_trace_options.sample_every == 0) {
       std::fprintf(stderr, "error: --trace-sample must be 1/N or N with "
-                   "positive N, got '%s'\n", trace_sample_token);
+                   "positive N, got '%s'\n", trace_sample);
       return 2;
     }
   }
-  if (trace_stall_token != nullptr &&
-      (!ParseUint64Token(trace_stall_token,
-                         &g_trace_options.stall_threshold) ||
-       g_trace_options.stall_threshold == 0)) {
-    std::fprintf(stderr, "error: --trace-stall must be a positive integer, "
-                 "got '%s'\n", trace_stall_token);
-    return 2;
-  }
-  if (trace_flight_token != nullptr &&
-      (!ParseUint64Token(trace_flight_token,
-                         &g_trace_options.flight_recorder_depth) ||
-       g_trace_options.flight_recorder_depth == 0)) {
-    std::fprintf(stderr, "error: --trace-flight must be a positive integer, "
-                 "got '%s'\n", trace_flight_token);
-    return 2;
-  }
   if (g_trace_out == nullptr &&
-      (trace_sample_token != nullptr || trace_stall_token != nullptr ||
-       trace_flight_token != nullptr)) {
+      (args.Given("trace-sample") || args.Given("trace-stall") ||
+       args.Given("trace-flight"))) {
     std::fprintf(stderr, "error: --trace-sample/--trace-stall/--trace-flight "
                  "require --trace-out\n");
     return 2;
@@ -888,27 +829,10 @@ int main(int argc, char** argv) {
                  "--serve\n");
     return 2;
   }
-  if (metrics_interval_token != nullptr) {
-    if (!ParseUint64Token(metrics_interval_token, &g_metrics_interval) ||
-        g_metrics_interval == 0) {
-      std::fprintf(stderr, "error: --metrics-interval must be a positive "
-                   "integer, got '%s'\n", metrics_interval_token);
-      return 2;
-    }
-  }
   if (g_metrics_interval != 0 && g_metrics_out == nullptr) {
     std::fprintf(stderr,
                  "error: --metrics-interval requires --metrics-out\n");
     return 2;
-  }
-  if (engine_token != nullptr) {
-    if (std::string(engine_token) == "event") {
-      g_evented_engine = true;
-    } else if (std::string(engine_token) != "slot") {
-      std::fprintf(stderr, "error: --engine must be 'slot' or 'event', "
-                   "got '%s'\n", engine_token);
-      return 2;
-    }
   }
   std::unique_ptr<bdisk::faults::ChannelModel> channel;
   if (channel_spec != nullptr) {
@@ -921,21 +845,7 @@ int main(int argc, char** argv) {
     channel = std::move(*parsed);
     g_channel = channel.get();
   }
-  if (requests_token != nullptr) {
-    if (!ParseUint64Token(requests_token, &g_requests_per_file) ||
-        g_requests_per_file == 0) {
-      std::fprintf(stderr, "error: --requests must be a positive integer, "
-                   "got '%s'\n", requests_token);
-      return 2;
-    }
-  }
-  if (seed_token != nullptr &&
-      !ParseUint64Token(seed_token, &g_workload_seed)) {
-    std::fprintf(stderr, "error: --seed must be a 64-bit non-negative "
-                 "integer, got '%s'\n", seed_token);
-    return 2;
-  }
-  const char* spec_arg = argv[1];
+  const char* spec_arg = args.positionals[0];
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);

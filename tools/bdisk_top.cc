@@ -10,16 +10,11 @@
 // process-wide instruments: GF encode/decode GB/s, event-engine events/s,
 // and adaptive hot swaps.
 //
-// Usage:
-//   bdisk_top [--follow] [--rows N] stream.jsonl
-//   bdisk_top --help | -h
-//
 // --follow polls the file every 500 ms and redraws in place (ANSI),
 // tailing a run that is still appending; only the bytes appended since
 // the previous poll are parsed, and a truncated or replaced file (a new
 // run re-creating it) restarts the tail from byte zero. Ctrl-C to stop.
-// --rows N limits
-// the table to the last N snapshot rows (default 20; 0 = all). A stream
+// --rows N limits the table to the last N snapshot rows. A stream
 // holding several runs (e.g. --adaptive appends static + adaptive
 // replays) renders the last run, with a header count of the others.
 
@@ -184,38 +179,26 @@ void Render(const Stream& s, std::size_t max_rows, const char* path) {
   }
 }
 
-void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(out, "usage: %s [--follow] [--rows N] stream.jsonl\n", argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto follow_flag =
-      bdisk::runtime::ConsumeBoolFlagOnce(&argc, argv, "follow");
-  if (!follow_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 follow_flag.status().message().c_str());
+  bool follow = false;
+  std::uint64_t max_rows = 20;
+  const std::vector<bdisk::runtime::Flag> flags = {
+      {"follow", bdisk::runtime::FlagKind::kBool,
+       "poll every 500 ms and redraw while the producer appends", &follow},
+      {"rows", bdisk::runtime::FlagKind::kUint,
+       "show the last N snapshot rows (20; 0 = all)", &max_rows},
+  };
+  constexpr const char* kPositionals = "stream.jsonl";
+  const auto args =
+      bdisk::runtime::ParseCommandLine(argc, argv, flags, kPositionals);
+  if (args.positionals.size() != 1) {
+    std::fputs(bdisk::runtime::UsageLine(argv[0], flags, kPositionals).c_str(),
+               stderr);
     return 2;
   }
-  const bool follow = *follow_flag;
-  const auto rows_flag =
-      bdisk::runtime::ConsumeUintFlagOnce(&argc, argv, "rows", 20);
-  if (!rows_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n", rows_flag.status().message().c_str());
-    return 2;
-  }
-  const std::uint64_t max_rows = *rows_flag;
-  if (argc == 2 && (std::string(argv[1]) == "--help" ||
-                    std::string(argv[1]) == "-h")) {
-    PrintUsage(stdout, argv[0]);
-    return 0;
-  }
-  if (argc != 2) {
-    PrintUsage(stderr, argv[0]);
-    return 2;
-  }
-  const char* path = argv[1];
+  const char* path = args.positionals[0];
 
   bdisk::obs::StreamTail tail;
   Stream stream;

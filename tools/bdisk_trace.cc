@@ -5,12 +5,6 @@
 // top-N slowest summary with stall attribution, or a filtered Chrome
 // document ready for chrome://tracing / Perfetto.
 //
-// Usage:
-//   bdisk_trace [--client N] [--file NAME] [--outcome ok|deadline_miss|
-//               undecodable] [--summary] [--top N] [--chrome]
-//               <trace.json | ->
-//   bdisk_trace --help | -h
-//
 // --client / --file / --outcome keep only retrieval spans matching the
 // given request id, file name, or outcome (controller swap-decision spans
 // are dropped once any filter is set). --summary prints the top N spans
@@ -249,52 +243,35 @@ void PrintChrome(const JsonValue& doc, const JsonValue& events,
   std::fwrite(out.data(), 1, out.size(), stdout);
 }
 
-void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s [--client N] [--file NAME] [--outcome "
-               "ok|deadline_miss|undecodable] [--summary] [--top N] "
-               "[--chrome] <trace.json | ->\n",
-               argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool summary = bdisk::runtime::ConsumeBoolFlag(&argc, argv,
-                                                       "summary");
-  const bool chrome = bdisk::runtime::ConsumeBoolFlag(&argc, argv, "chrome");
-  const char* client_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "client");
-  const char* top_token = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                            "top");
-  Filters filters;
-  filters.file = bdisk::runtime::ConsumeStringFlag(&argc, argv, "file");
-  filters.outcome = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                      "outcome");
-  if (argc == 2 && (std::string(argv[1]) == "--help" ||
-                    std::string(argv[1]) == "-h")) {
-    PrintUsage(stdout, argv[0]);
-    return 0;
-  }
-  if (argc != 2) {
-    PrintUsage(stderr, argv[0]);
-    return 2;
-  }
-  if (client_token != nullptr) {
-    if (!bdisk::runtime::ParseUint64Token(client_token, &filters.client)) {
-      std::fprintf(stderr, "error: --client must be a non-negative integer, "
-                   "got '%s'\n", client_token);
-      return 2;
-    }
-    filters.have_client = true;
-  }
+  bool summary = false;
+  bool chrome = false;
   std::uint64_t top = 10;
-  if (top_token != nullptr &&
-      (!bdisk::runtime::ParseUint64Token(top_token, &top) || top == 0)) {
-    std::fprintf(stderr, "error: --top must be a positive integer, got "
-                 "'%s'\n", top_token);
+  Filters filters;
+  using bdisk::runtime::FlagKind;
+  const std::vector<bdisk::runtime::Flag> flags = {
+      {"client", FlagKind::kUint, "keep only this request id",
+       &filters.client},
+      {"file", FlagKind::kString, "keep only this file name", &filters.file},
+      {"outcome", FlagKind::kString,
+       "keep only ok, deadline_miss or undecodable spans", &filters.outcome},
+      {"summary", FlagKind::kBool,
+       "print the top spans by stall, with fault attribution", &summary},
+      {"top", FlagKind::kPositiveUint, "spans in the summary (10)", &top},
+      {"chrome", FlagKind::kBool,
+       "re-emit the kept events as a Chrome trace document", &chrome},
+  };
+  constexpr const char* kPositionals = "<trace.json | ->";
+  const auto args =
+      bdisk::runtime::ParseCommandLine(argc, argv, flags, kPositionals);
+  if (args.positionals.size() != 1) {
+    std::fputs(bdisk::runtime::UsageLine(argv[0], flags, kPositionals).c_str(),
+               stderr);
     return 2;
   }
+  filters.have_client = args.Given("client");
   if (filters.outcome != nullptr) {
     const std::string o = filters.outcome;
     if (o != "ok" && o != "deadline_miss" && o != "undecodable") {
@@ -304,7 +281,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* path = argv[1];
+  const char* path = args.positionals[0];
   std::ostringstream text;
   if (std::string(path) == "-") {
     text << std::cin.rdbuf();

@@ -208,35 +208,33 @@ int CompareMode(const char* baseline_path, const char* current_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* check_path =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "check");
-  const char* threshold_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "threshold");
-
+  const char* check_path = nullptr;
   double threshold = 0.10;
   if (const char* env = std::getenv("BDISK_PERF_THRESHOLD")) {
     threshold = std::atof(env);
   }
-  if (threshold_token != nullptr) threshold = std::atof(threshold_token);
+  const std::vector<bdisk::runtime::Flag> flags = {
+      {"check", bdisk::runtime::FlagKind::kString,
+       "validate one capture file instead of comparing two", &check_path},
+      {"threshold", bdisk::runtime::FlagKind::kDouble,
+       "headline regression that fails the gate (0.10 or "
+       "$BDISK_PERF_THRESHOLD)",
+       &threshold},
+  };
+  constexpr const char* kPositionals = "[BASELINE CURRENT]";
+  const auto args =
+      bdisk::runtime::ParseCommandLine(argc, argv, flags, kPositionals);
   if (threshold <= 0.0 || threshold >= 1.0) {
     std::fprintf(stderr, "error: threshold must be in (0, 1), got %g\n",
                  threshold);
     return 2;
   }
 
-  if (check_path != nullptr) {
-    if (argc != 1) {
-      std::fprintf(stderr, "usage: %s --check FILE\n", argv[0]);
-      return 2;
-    }
-    return CheckMode(check_path);
-  }
-  if (argc != 3) {
-    std::fprintf(stderr,
-                 "usage: %s BASELINE CURRENT [--threshold T]\n"
-                 "       %s --check FILE\n",
-                 argv[0], argv[0]);
+  if (args.positionals.size() != (check_path != nullptr ? 0u : 2u)) {
+    std::fputs(bdisk::runtime::UsageLine(argv[0], flags, kPositionals).c_str(),
+               stderr);
     return 2;
   }
-  return CompareMode(argv[1], argv[2], threshold);
+  if (check_path != nullptr) return CheckMode(check_path);
+  return CompareMode(args.positionals[0], args.positionals[1], threshold);
 }
